@@ -207,12 +207,18 @@ Report ext_checkpoint_restart(const Exec& exec) {
     const auto& v = results[i];
     std::vector<Cell> row{Cell(intensities[i], 2), Cell(v[0], 1),
                           Cell(v[1], 1)};
+    // Cells are built in place: GCC 12 flags moving a temporary Cell into
+    // the row as a maybe-uninitialized string read (-Werror builds).
     for (std::size_t j = 0; j < taus.size(); ++j) {
-      row.push_back(Cell(v[2 + j], 1));
+      row.emplace_back(v[2 + j], 1);
     }
-    row.push_back(Cell(v[2 + taus.size()], 0));
+    row.emplace_back(v[2 + taus.size()], 0);
     const double young = v[3 + taus.size()];
-    row.push_back(young < 0.0 ? Cell("-") : Cell(young, 1));
+    if (young < 0.0) {
+      row.emplace_back("-");
+    } else {
+      row.emplace_back(young, 1);
+    }
     t.add_row(std::move(row));
   }
   r.tables.push_back(std::move(t));

@@ -39,8 +39,9 @@ void Task::promise_type::unhandled_exception() noexcept {
 
 Engine::Engine() {
   // A typical scenario schedules hundreds of concurrent ranks; start with
-  // room for them so the first run() does not grow the heap step by step.
+  // room for them so the first run() does not grow the queue step by step.
   heap_.reserve(1024);
+  lane_.reserve(1024);
 }
 
 Engine::~Engine() {
@@ -55,7 +56,7 @@ Engine::~Engine() {
 void Engine::spawn(Task task) {
   auto h = task.release();
   h.promise().engine = this;
-  owned_index_.emplace(h.address(), owned_.size());
+  h.promise().slot = owned_.size();
   owned_.push_back(h);
   ++live_tasks_;
   schedule_at(now_, h);
@@ -97,10 +98,27 @@ Engine::Event Engine::heap_pop() {
   return top;
 }
 
+Engine::Event Engine::lane_pop() {
+  const Event ev = lane_[lane_head_++];
+  // Time cannot advance past a non-empty lane, so it drains at least once
+  // per instant; that bounds its length by one instant's events.
+  if (lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
+  return ev;
+}
+
 void Engine::schedule_at(Time t, std::coroutine_handle<> h) {
   COL_REQUIRE(t >= now_, "cannot schedule an event in the past");
   COL_REQUIRE(h != nullptr, "cannot schedule a null coroutine");
-  heap_push(Event{t, next_seq_++, h});
+  // Same-time events carry a larger seq than anything queued so far, so
+  // appending keeps the lane sorted; run() interleaves it with the heap.
+  if (t == now_) {
+    lane_.push_back(Event{t, next_seq_++, h});
+  } else {
+    heap_push(Event{t, next_seq_++, h});
+  }
 }
 
 std::uint64_t Engine::schedule_cancellable_at(Time t,
@@ -117,7 +135,7 @@ void Engine::cancel_scheduled(std::uint64_t token) {
   cancelled_.insert(token);
 }
 
-void Engine::on_task_finished(std::coroutine_handle<> h) {
+void Engine::on_task_finished(std::coroutine_handle<Task::promise_type> h) {
   finished_.push_back(h);
   COL_CHECK(live_tasks_ > 0, "task finished with zero live tasks");
   --live_tasks_;
@@ -128,17 +146,16 @@ void Engine::on_task_exception(std::exception_ptr e) {
 }
 
 void Engine::reap_finished() {
-  // O(1) per finished task: look up its slot, swap-remove, fix the index
-  // of the task that moved into the vacated slot.
+  // O(1) per finished task: swap-remove its slot, then tell the task that
+  // moved into the vacated slot where it now lives.
   for (auto h : finished_) {
-    const auto it = owned_index_.find(h.address());
-    COL_CHECK(it != owned_index_.end(), "finished task not owned by engine");
-    const std::size_t slot = it->second;
-    owned_index_.erase(it);
+    const std::size_t slot = h.promise().slot;
+    COL_CHECK(slot < owned_.size() && owned_[slot] == h,
+              "finished task not owned by engine");
     const std::size_t last = owned_.size() - 1;
     if (slot != last) {
       owned_[slot] = owned_[last];
-      owned_index_[owned_[slot].address()] = slot;
+      owned_[slot].promise().slot = slot;
     }
     owned_.pop_back();
     h.destroy();
@@ -173,8 +190,8 @@ void Engine::run() {
     }
   } restore{prev, this, events_at_entry, wall_start};
 
-  while (!heap_.empty()) {
-    const Event ev = heap_pop();
+  while (lane_head_ < lane_.size() || !heap_.empty()) {
+    const Event ev = lane_first() ? lane_pop() : heap_pop();
     COL_CHECK(ev.time >= now_, "event queue went backwards in time");
     if (ev.token != 0 && cancelled_.erase(ev.token) > 0) {
       // Revoked before firing: drop it without touching now_ or the event

@@ -12,17 +12,21 @@
 /// different host threads are safe — the scenario runner in core/ relies
 /// on exactly that (one engine per sweep point, no shared mutable state).
 ///
-/// Hot path: `run()` is one heap pop + one coroutine resume per event. The
-/// heap is an inline binary heap over a reusable vector (no per-event
-/// allocation, no std::priority_queue indirection), and finished-task
-/// reaping is O(1) swap-remove via a handle→index map.
+/// Hot path: `run()` is one queue pop + one coroutine resume per event.
+/// Events scheduled for the current time (trigger wakes, resource grants,
+/// spawns) go to a same-time FIFO lane; only future and cancellable events
+/// enter the heap, an inline binary heap over a reusable vector (no
+/// per-event allocation, no std::priority_queue indirection). `run()` takes
+/// the lane's front whenever it precedes the heap top by (time, seq), so
+/// the lane changes no event's order, only its cost. Finished-task reaping
+/// is O(1) swap-remove through the owned-list slot each Task's promise
+/// carries.
 
 #include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -62,7 +66,8 @@ class Engine {
   /// that escaped a simulated process.
   void run();
 
-  /// Schedules `h` to resume at absolute time `t` (>= now).
+  /// Schedules `h` to resume at absolute time `t` (>= now). Events at
+  /// t == now() skip the heap; they still run in (time, seq) order.
   void schedule_at(Time t, std::coroutine_handle<> h);
   /// Schedules `h` to resume after `dt` seconds of simulated time.
   void schedule_after(Time dt, std::coroutine_handle<> h) {
@@ -96,8 +101,11 @@ class Engine {
     return Awaiter{*this, dt};
   }
 
-  /// Pre-sizes the event heap (e.g. before spawning a large rank count).
-  void reserve_events(std::size_t n) { heap_.reserve(n); }
+  /// Pre-sizes the event queue (e.g. before spawning a large rank count).
+  void reserve_events(std::size_t n) {
+    heap_.reserve(n);
+    lane_.reserve(n);
+  }
 
   /// Hook invoked when run() drains the queue while live processes remain
   /// suspended, immediately before DeadlockError is thrown. simcheck's
@@ -129,7 +137,7 @@ class Engine {
   }
 
   // --- internal hooks used by Task's promise ------------------------------
-  void on_task_finished(std::coroutine_handle<> h);
+  void on_task_finished(std::coroutine_handle<Task::promise_type> h);
   void on_task_exception(std::exception_ptr e);
 
  private:
@@ -147,6 +155,12 @@ class Engine {
 
   void heap_push(Event ev);
   Event heap_pop();
+  /// True when the lane's front is the next event in (time, seq) order.
+  bool lane_first() const {
+    return lane_head_ < lane_.size() &&
+           (heap_.empty() || lane_[lane_head_].before(heap_.front()));
+  }
+  Event lane_pop();
   void reap_finished();
 
   Time now_ = kTimeZero;
@@ -157,9 +171,13 @@ class Engine {
   double run_wall_seconds_ = 0.0;
   std::size_t live_tasks_ = 0;
   std::vector<Event> heap_;  ///< inline binary min-heap, reused across runs
-  std::vector<std::coroutine_handle<>> finished_;
-  std::vector<std::coroutine_handle<>> owned_;
-  std::unordered_map<void*, std::size_t> owned_index_;  ///< handle → owned_ slot
+  /// Same-time FIFO lane: non-cancellable events scheduled at t == now_,
+  /// in seq order from lane_head_. Time only advances once it is empty.
+  std::vector<Event> lane_;
+  std::size_t lane_head_ = 0;
+  std::vector<std::coroutine_handle<Task::promise_type>> finished_;
+  /// Spawned, not yet reaped; task i's promise holds slot == i.
+  std::vector<std::coroutine_handle<Task::promise_type>> owned_;
   std::exception_ptr pending_exception_;
   std::function<void()> deadlock_hook_;
   SpanSink* span_sink_ = nullptr;

@@ -15,6 +15,7 @@
 /// CP.2 by construction).
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -28,6 +29,9 @@ class Task {
  public:
   struct promise_type {
     Engine* engine = nullptr;
+    /// This task's index in its engine's owned list while spawned; the
+    /// engine keeps it current as it swap-removes finished tasks.
+    std::size_t slot = 0;
 
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};

@@ -5,8 +5,9 @@ namespace columbia::sim {
 void Trigger::fire() {
   if (fired_) return;
   fired_ = true;
-  for (auto h : waiters_) engine_->schedule_at(engine_->now(), h);
-  waiters_.clear();
+  if (first_) engine_->schedule_at(engine_->now(), first_);
+  for (auto h : later_) engine_->schedule_at(engine_->now(), h);
+  later_.clear();
 }
 
 }  // namespace columbia::sim

@@ -28,7 +28,11 @@ class Trigger {
       Trigger& trigger;
       bool await_ready() const noexcept { return trigger.fired_; }
       void await_suspend(std::coroutine_handle<> h) {
-        trigger.waiters_.push_back(h);
+        if (!trigger.first_) {
+          trigger.first_ = h;
+        } else {
+          trigger.later_.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -38,7 +42,10 @@ class Trigger {
  private:
   Engine* engine_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  // Waiters in wait order: almost every trigger has exactly one, so it
+  // lives inline and the vector (which allocates) only holds the rest.
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> later_;
 };
 
 }  // namespace columbia::sim

@@ -1,4 +1,3 @@
-#include <cstdio>
 #include "simmpi/world.hpp"
 
 #include <algorithm>
@@ -52,7 +51,7 @@ void Rank::deposit(std::unique_ptr<Envelope> env) {
                              {{env->src, env->tag}});
       }
       unexpected_.push_back(std::move(env));  // keep alive until recv copies
-      p->ready->fire();
+      p->ready.fire();
       return;
     }
   }
@@ -93,13 +92,12 @@ sim::CoTask<void> Rank::send_impl(int dst, double bytes,
   const double t0 = eng.now();
   const std::uint64_t serial = send_serial_++;
 
-  auto env = std::make_unique<Envelope>();
+  auto env = std::make_unique<Envelope>(eng);
   env->src = rank_;
   env->tag = tag;
   env->bytes = bytes;
   env->payload = std::move(payload);
   env->eager = bytes <= World::kEagerThreshold;
-  env->delivered = std::make_unique<sim::Trigger>(eng);
 
   CommObserver* obs = world_->observer();
   std::uint64_t op_id = 0;
@@ -116,7 +114,7 @@ sim::CoTask<void> Rank::send_impl(int dst, double bytes,
     // Sender copies into the library buffer and returns; delivery rides a
     // detached task through the network (back-pressured by the injection
     // port resource).
-    sim::Trigger& delivered = *env->delivered;
+    sim::Trigger& delivered = env->delivered;
     receiver.deposit(std::move(env));
     eng.spawn(eager_delivery(*world_, cpu_, receiver.cpu_, bytes, serial,
                              delivered));
@@ -127,9 +125,8 @@ sim::CoTask<void> Rank::send_impl(int dst, double bytes,
     // Rendezvous: announce, wait for the receiver's clear-to-send (which
     // must travel back across the wire), then transfer directly into the
     // destination buffer.
-    env->rts_matched = std::make_unique<sim::Trigger>(eng);
-    sim::Trigger& rts = *env->rts_matched;
-    sim::Trigger& delivered = *env->delivered;
+    sim::Trigger& rts = env->rts_matched;
+    sim::Trigger& delivered = env->delivered;
     const int dst_cpu = receiver.cpu_;
     receiver.deposit(std::move(env));
     co_await rts.wait();
@@ -197,21 +194,20 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
   if (env != nullptr) {
     env->claimed = true;
   } else {
-    PendingRecv p;
+    PendingRecv p(eng);
     p.src = eff_src;
     p.tag = tag;
     p.check_id = recv_id;
-    p.ready = std::make_unique<sim::Trigger>(eng);
     pending_.push_back(&p);
-    co_await p.ready->wait();
+    co_await p.ready.wait();
     env = p.matched;
     COL_CHECK(env != nullptr, "recv woke without a matched envelope");
   }
 
   if (!env->eager) {
-    env->rts_matched->fire();  // clear-to-send
+    env->rts_matched.fire();  // clear-to-send
   }
-  co_await env->delivered->wait();
+  co_await env->delivered.wait();
   if (obs) obs->on_recv_delivered(recv_id);
   // Receiver-side software: queue matching, plus (eager only) the copy
   // from the library bounce buffer into the user buffer. One-sided SHMEM
@@ -531,11 +527,6 @@ sim::CoTask<std::vector<double>> Rank::allgather_values(
       ops.push_back(send_value(
           dst, blocks[static_cast<std::size_t>(send_origin)], kCollTag));
       // Receive concurrently (rendezvous both ways around the ring).
-      struct Recv {
-        Rank* r;
-        int src;
-        std::vector<double>* out;
-      };
       auto recv_into = [](Rank& r, int src,
                           std::vector<double>& out) -> sim::CoTask<void> {
         Message m = co_await r.recv(src, kCollTag);

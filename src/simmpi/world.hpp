@@ -164,22 +164,24 @@ class Rank {
   friend class World;
 
   struct Envelope {
-    int src;
-    int tag;
-    double bytes;
+    explicit Envelope(sim::Engine& e) : delivered(e), rts_matched(e) {}
+    int src = 0;
+    int tag = 0;
+    double bytes = 0.0;
     std::vector<double> payload;
-    bool eager;
+    bool eager = true;
     bool claimed = false;  // already matched to a receive
     std::uint64_t check_id = 0;  // observer op id (0 = untracked)
-    std::unique_ptr<sim::Trigger> delivered;     // data arrived at receiver
-    std::unique_ptr<sim::Trigger> rts_matched;   // rendezvous handshake
+    sim::Trigger delivered;    // data arrived at receiver
+    sim::Trigger rts_matched;  // rendezvous handshake (unused when eager)
   };
   struct PendingRecv {
-    int src;
-    int tag;
+    explicit PendingRecv(sim::Engine& e) : ready(e) {}
+    int src = 0;
+    int tag = 0;
     Envelope* matched = nullptr;
     std::uint64_t check_id = 0;  // observer op id (0 = untracked)
-    std::unique_ptr<sim::Trigger> ready;
+    sim::Trigger ready;
   };
 
   sim::CoTask<void> send_impl(int dst, double bytes,

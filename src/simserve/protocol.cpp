@@ -163,6 +163,7 @@ std::string stats_line(const std::string& id, const ServiceStats& s) {
   out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
   out += ",\"coalesced\":" + std::to_string(s.coalesced);
   out += ",\"cache_entries\":" + std::to_string(s.cache_entries);
+  out += ",\"cache_bytes\":" + std::to_string(s.cache_bytes);
   out += ",\"in_flight\":" + std::to_string(s.in_flight);
   out += ",\"peak_in_flight\":" + std::to_string(s.peak_in_flight);
   return out + "}";

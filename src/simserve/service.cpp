@@ -7,6 +7,12 @@
 
 namespace columbia::simserve {
 
+std::size_t outcome_bytes(const EvalOutcome& outcome) {
+  return sizeof(EvalOutcome) + outcome.error.size() + outcome.report.size() +
+         outcome.check_json.size() + outcome.profile_json.size() +
+         outcome.race_summary.size();
+}
+
 Service::Service(EvalFn eval, Options opts) : eval_(std::move(eval)) {
   COL_REQUIRE(static_cast<bool>(eval_), "Service requires an EvalFn");
   if (opts.jobs > 0) common::ThreadPool::shared().ensure_workers(opts.jobs);
@@ -26,10 +32,11 @@ void Service::submit(const core::ScenarioSpec& spec, Callback done) {
 
     if (auto it = cache_.find(hash); it != cache_.end()) {
       ++stats_.cache_hits;
+      lru_.splice(lru_.begin(), lru_, it->second);
       Response r;
       r.spec_hash = hash;
       r.cached = true;
-      r.outcome = it->second;
+      r.outcome = it->second->outcome;
       --in_flight_requests_;
       lock.unlock();
       // Inline on the submitting thread: a cache hit needs no job, and
@@ -78,7 +85,7 @@ void Service::run_job(std::uint64_t hash) {
     // Failed evaluations are not cached: an unknown id stays unknown, but
     // transient failures (e.g. an eval fn that touches the filesystem)
     // deserve a retry rather than a poisoned entry.
-    if (outcome->ok) cache_.emplace(hash, outcome);
+    if (outcome->ok) cache_insert(hash, outcome);
   }
 
   // Deliver outside the lock — callbacks may submit follow-up specs.
@@ -93,6 +100,20 @@ void Service::run_job(std::uint64_t hash) {
     std::lock_guard lock(mutex_);
     in_flight_requests_ -= job->waiters.size();
     if (in_flight_requests_ == 0) drained_cv_.notify_all();
+  }
+}
+
+void Service::cache_insert(std::uint64_t hash,
+                           std::shared_ptr<const EvalOutcome> outcome) {
+  const std::size_t bytes = outcome_bytes(*outcome);
+  lru_.push_front(CacheEntry{hash, std::move(outcome), bytes});
+  cache_.emplace(hash, lru_.begin());
+  cache_bytes_ += bytes;
+  while (cache_bytes_ > kCacheBudgetBytes && lru_.size() > 1) {
+    const CacheEntry& victim = lru_.back();
+    cache_bytes_ -= victim.bytes;
+    cache_.erase(victim.hash);
+    lru_.pop_back();
   }
 }
 
@@ -127,6 +148,7 @@ ServiceStats Service::stats() const {
   std::lock_guard lock(mutex_);
   ServiceStats s = stats_;
   s.cache_entries = cache_.size();
+  s.cache_bytes = cache_bytes_;
   s.in_flight = in_flight_requests_;
   return s;
 }

@@ -12,6 +12,12 @@
 /// function of its canonical bytes, so one evaluation's result is every
 /// requester's result, byte for byte.
 ///
+/// The cache is bounded: it holds at most kCacheBudgetBytes of outcomes
+/// (outcome_bytes) and evicts the least recently hit entries first, so a
+/// long-running daemon that sees a stream of distinct specs keeps a fixed
+/// footprint. The entry just inserted is never evicted, even when it alone
+/// exceeds the budget.
+///
 /// The evaluation function itself is injected (`EvalFn`), for two
 /// reasons. Layering: the registry-backed evaluator (core::Evaluator,
 /// plus simrace exploration for race_explore specs) lives in eval.cpp so
@@ -25,8 +31,10 @@
 /// caller's own locks on which a callback could also block.
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,6 +62,10 @@ struct EvalOutcome {
   std::string race_summary; ///< ExploreResult::render bytes, "" otherwise
 };
 
+/// What one cached outcome counts against the cache budget: the struct
+/// plus the bytes of its strings.
+std::size_t outcome_bytes(const EvalOutcome& outcome);
+
 /// The injected evaluator: spec in, outcome out. Must be pure in the
 /// spec (same spec → same outcome bytes) for caching and coalescing to
 /// be sound, and safe to invoke from multiple pool threads at once
@@ -77,12 +89,18 @@ struct ServiceStats {
   std::uint64_t cache_hits = 0;   ///< served from the result cache
   std::uint64_t coalesced = 0;    ///< attached to an in-flight evaluation
   std::uint64_t cache_entries = 0;   ///< current cache size (snapshot)
+  std::uint64_t cache_bytes = 0;     ///< outcome_bytes summed over the cache (snapshot)
   std::uint64_t in_flight = 0;       ///< submitted, not yet completed (snapshot)
   std::uint64_t peak_in_flight = 0;  ///< high-water mark of in_flight
 };
 
 class Service {
  public:
+  /// Result-cache budget in outcome_bytes. A plain registry outcome is a
+  /// few KB and a profiled one a few hundred KB, so this keeps well over a
+  /// thousand plain outcomes.
+  static constexpr std::size_t kCacheBudgetBytes = std::size_t{8} << 20;
+
   struct Options {
     /// Evaluation parallelism: grows the shared pool to at least this
     /// many workers (0 = leave the pool at its default size).
@@ -120,12 +138,26 @@ class Service {
     std::vector<bool> waiter_coalesced;
   };
 
+  /// One completed outcome; the LRU list runs most recently hit first.
+  struct CacheEntry {
+    std::uint64_t hash = 0;
+    std::shared_ptr<const EvalOutcome> outcome;
+    std::size_t bytes = 0;
+  };
+  using Lru = std::list<CacheEntry>;
+
   void run_job(std::uint64_t hash);
+  /// Inserts as most recent, then evicts from the least recent end until
+  /// the cache fits kCacheBudgetBytes or only the new entry is left.
+  void cache_insert(std::uint64_t hash,
+                    std::shared_ptr<const EvalOutcome> outcome);
 
   EvalFn eval_;
   mutable std::mutex mutex_;
   std::condition_variable drained_cv_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const EvalOutcome>> cache_;
+  Lru lru_;
+  std::unordered_map<std::uint64_t, Lru::iterator> cache_;
+  std::size_t cache_bytes_ = 0;
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   std::uint64_t in_flight_requests_ = 0;  ///< submitted, callback not yet run
   ServiceStats stats_;

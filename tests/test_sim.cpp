@@ -1,9 +1,12 @@
-// Unit tests for the discrete-event engine: time ordering, coroutine
-// lifecycles, nested CoTask value/exception propagation, triggers,
-// contended resources, barriers, deadlock detection, and determinism.
+// Unit tests for the discrete-event engine: time ordering (including
+// same-time and cancellable events), coroutine lifecycles, nested CoTask
+// value/exception propagation, triggers, contended resources, barriers,
+// deadlock detection, and determinism.
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -149,6 +152,28 @@ TEST(Trigger, WakesAllWaitersAtFireTime) {
   ASSERT_EQ(woke.size(), 2u);
   EXPECT_DOUBLE_EQ(woke[0], 5.0);
   EXPECT_DOUBLE_EQ(woke[1], 5.0);
+}
+
+TEST(Trigger, ResumesWaitersInWaitOrder) {
+  // Waiter i waits at t = 3 - i, so the wait order (2, 1, 0) is the
+  // reverse of the spawn order.
+  Engine eng;
+  Trigger trig(eng);
+  std::vector<int> order;
+  auto waiter = [](Engine& e, Trigger& t, std::vector<int>& ord,
+                   int id) -> Task {
+    co_await e.delay(3.0 - id);
+    co_await t.wait();
+    ord.push_back(id);
+  };
+  auto firer = [](Engine& e, Trigger& t) -> Task {
+    co_await e.delay(5.0);
+    t.fire();
+  };
+  for (int i = 0; i < 3; ++i) eng.spawn(waiter(eng, trig, order, i));
+  eng.spawn(firer(eng, trig));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
 }
 
 TEST(Trigger, WaitAfterFireDoesNotSuspend) {
@@ -364,6 +389,114 @@ TEST(Engine, ManyShortLivedTasksReapPromptly) {
   eng.spawn(spawner(eng));
   eng.run();
   EXPECT_EQ(finished, kTasks);
+  EXPECT_EQ(eng.live_tasks(), 0u);
+}
+
+// --- ordering at one instant: events queued for t before t, events
+// scheduled during t, and cancellable events --------------------------------
+
+TEST(Engine, EventsQueuedForTRunBeforeEventsScheduledDuringT) {
+  // "a" and "b" were queued for t = 1 at t = 0. "a" fires the trigger at
+  // t = 1 and then yields for zero time; both wake-ups are scheduled
+  // during t = 1, so they run after "b", in the order they were made.
+  Engine eng;
+  Trigger trig(eng);
+  std::vector<std::string> order;
+  auto first = [](Engine& e, Trigger& t,
+                  std::vector<std::string>& ord) -> Task {
+    co_await e.delay(1.0);
+    ord.push_back("a");
+    t.fire();
+    co_await e.delay(0.0);
+    ord.push_back("a-after-yield");
+  };
+  auto second = [](Engine& e, std::vector<std::string>& ord) -> Task {
+    co_await e.delay(1.0);
+    ord.push_back("b");
+  };
+  auto waiter = [](Trigger& t, std::vector<std::string>& ord) -> Task {
+    co_await t.wait();
+    ord.push_back("woken");
+  };
+  eng.spawn(first(eng, trig, order));
+  eng.spawn(second(eng, order));
+  eng.spawn(waiter(trig, order));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "woken",
+                                             "a-after-yield"}));
+  EXPECT_DOUBLE_EQ(eng.now(), 1.0);
+}
+
+/// Where a coroutine parked on a cancellable event, and its token.
+struct Parked {
+  std::coroutine_handle<> handle;
+  std::uint64_t token = 0;
+};
+
+/// Awaitable: parks the awaiter on a cancellable event at time `t`.
+struct ParkCancellable {
+  Engine& engine;
+  Time t;
+  Parked& parked;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    parked.handle = h;
+    parked.token = engine.schedule_cancellable_at(t, h);
+  }
+  void await_resume() const noexcept {}
+};
+
+TEST(Engine, CancellableEventAtNowRunsInSeqOrder) {
+  // At t = 1 three tasks each schedule one more event for t = 1, in spawn
+  // order: a zero delay, a cancellable event, a zero delay. They resume
+  // in that order.
+  Engine eng;
+  std::vector<std::string> order;
+  Parked parked;
+  auto yielder = [](Engine& e, std::vector<std::string>& ord,
+                    std::string name) -> Task {
+    co_await e.delay(1.0);
+    co_await e.delay(0.0);
+    ord.push_back(name);
+  };
+  auto cancellable = [](Engine& e, Parked& p,
+                        std::vector<std::string>& ord) -> Task {
+    co_await e.delay(1.0);
+    co_await ParkCancellable{e, e.now(), p};
+    ord.push_back("cancellable");
+  };
+  eng.spawn(yielder(eng, order, "before"));
+  eng.spawn(cancellable(eng, parked, order));
+  eng.spawn(yielder(eng, order, "after"));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "cancellable",
+                                             "after"}));
+}
+
+TEST(Engine, CancelledEventLeavesNoTrace) {
+  // The victim parks on a cancellable event at t = 5; at t = 1 the
+  // canceller revokes it and reschedules the victim for t = 2, the way the
+  // flow solver retargets its wake-up.
+  Engine eng;
+  std::vector<double> resumed;
+  Parked parked;
+  auto victim = [](Engine& e, Parked& p, std::vector<double>& log) -> Task {
+    co_await ParkCancellable{e, 5.0, p};
+    log.push_back(e.now());
+  };
+  auto canceller = [](Engine& e, Parked& p) -> Task {
+    co_await e.delay(1.0);
+    e.cancel_scheduled(p.token);
+    e.schedule_at(2.0, p.handle);
+  };
+  eng.spawn(victim(eng, parked, resumed));
+  eng.spawn(canceller(eng, parked));
+  eng.run();
+  EXPECT_EQ(resumed, (std::vector<double>{2.0}));
+  EXPECT_DOUBLE_EQ(eng.now(), 2.0);
+  // Two spawns, the canceller's wake at 1 and the victim's at 2; the
+  // revoked event at 5 does not count.
+  EXPECT_EQ(eng.events_processed(), 4u);
   EXPECT_EQ(eng.live_tasks(), 0u);
 }
 

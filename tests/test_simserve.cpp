@@ -9,8 +9,9 @@
 //  * core::Evaluator — result bytes are byte-identical to what
 //    run_experiment composes for the same spec, including under
 //    check+profile+faults (registry builds only).
-//  * simserve::Service — cache hits, in-flight coalescing, and a
-//    thousand-plus concurrent requests against a gated stub evaluator.
+//  * simserve::Service — cache hits, the cache's byte budget and LRU
+//    eviction, in-flight coalescing, and a thousand-plus concurrent
+//    requests against a gated stub evaluator.
 //  * protocol/serve_stream/TcpServer — request parsing, streamed
 //    status→result responses, pipe mode, and a TCP smoke test.
 //
@@ -23,6 +24,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -255,6 +257,76 @@ TEST(Service, FailedEvaluationsAreNotCached) {
   EXPECT_EQ(service.stats().cache_entries, 0u);
 }
 
+/// Stub evaluator whose outcome for experiment id X carries a report of
+/// `report_bytes` copies of X's first character.
+simserve::EvalFn sized_eval(std::atomic<int>& calls, std::size_t report_bytes) {
+  return [&calls, report_bytes](const ScenarioSpec& spec) {
+    calls.fetch_add(1);
+    simserve::EvalOutcome out;
+    out.ok = true;
+    out.report.assign(report_bytes, spec.experiment.front());
+    return out;
+  };
+}
+
+ScenarioSpec spec_of(const std::string& experiment) {
+  ScenarioSpec spec;
+  spec.experiment = experiment;
+  return spec;
+}
+
+TEST(Service, CacheEvictsTheLeastRecentlyHitOutcomeOverItsBudget) {
+  // Each outcome is just over a third of the budget: two fit, three don't.
+  std::atomic<int> calls{0};
+  simserve::Service service(
+      sized_eval(calls, simserve::Service::kCacheBudgetBytes / 3));
+  const simserve::Response a = service.evaluate(spec_of("a"));
+  const std::size_t each = simserve::outcome_bytes(*a.outcome);
+  EXPECT_EQ(each, sizeof(simserve::EvalOutcome) +
+                      simserve::Service::kCacheBudgetBytes / 3);
+  service.evaluate(spec_of("b"));
+  EXPECT_EQ(service.stats().cache_bytes, 2 * each);
+
+  // A hit makes "a" the most recent, so "c" pushes "b" out, not "a".
+  EXPECT_TRUE(service.evaluate(spec_of("a")).cached);
+  service.evaluate(spec_of("c"));
+  simserve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_entries, 2u);
+  EXPECT_EQ(stats.cache_bytes, 2 * each);
+  EXPECT_TRUE(service.evaluate(spec_of("a")).cached);
+  EXPECT_TRUE(service.evaluate(spec_of("c")).cached);
+  EXPECT_EQ(calls.load(), 3);
+
+  // "b" was evicted: it is evaluated again, and its insertion evicts the
+  // now least recently hit "a".
+  EXPECT_FALSE(service.evaluate(spec_of("b")).cached);
+  EXPECT_EQ(calls.load(), 4);
+  EXPECT_TRUE(service.evaluate(spec_of("c")).cached);
+  EXPECT_FALSE(service.evaluate(spec_of("a")).cached);
+  EXPECT_EQ(calls.load(), 5);
+  stats = service.stats();
+  EXPECT_EQ(stats.cache_entries, 2u);
+  EXPECT_EQ(stats.cache_bytes, 2 * each);
+  EXPECT_EQ(stats.cache_hits, 4u);
+  EXPECT_EQ(stats.evaluations, 5u);
+}
+
+TEST(Service, AnOutcomeOverTheWholeBudgetStaysUntilTheNextInsert) {
+  std::atomic<int> calls{0};
+  simserve::Service service(
+      sized_eval(calls, simserve::Service::kCacheBudgetBytes));
+  const simserve::Response big = service.evaluate(spec_of("big"));
+  EXPECT_EQ(service.stats().cache_entries, 1u);
+  EXPECT_EQ(service.stats().cache_bytes, simserve::outcome_bytes(*big.outcome));
+  EXPECT_TRUE(service.evaluate(spec_of("big")).cached);
+
+  service.evaluate(spec_of("next"));
+  EXPECT_EQ(service.stats().cache_entries, 1u);
+  EXPECT_TRUE(service.evaluate(spec_of("next")).cached);
+  EXPECT_FALSE(service.evaluate(spec_of("big")).cached);
+  EXPECT_EQ(calls.load(), 3);
+}
+
 TEST(Service, DuplicateInFlightSpecsCoalesce) {
   GatedEval gate;
   simserve::Service service(gate.fn());
@@ -415,6 +487,13 @@ TEST(Protocol, ResponseLineShapes) {
   EXPECT_NE(line.find("\"report\":\"line1\\nline2\\n\""), std::string::npos);
   // One response = one line: embedded newlines must be escaped.
   EXPECT_EQ(line.find('\n'), std::string::npos);
+
+  simserve::ServiceStats stats;
+  stats.cache_entries = 2;
+  stats.cache_bytes = 4096;
+  EXPECT_NE(simserve::stats_line("s", stats)
+                .find("\"cache_entries\":2,\"cache_bytes\":4096,"),
+            std::string::npos);
 }
 
 // --- serve_stream (pipe mode) -----------------------------------------------
