@@ -37,13 +37,14 @@
 // sequential/parallel identity check intact (faults are deterministic per
 // seed; the analyzers are pure listeners).
 //
-// Storage-subsystem accounting needs no flag: the timed passes always run
-// with the global simio collector armed (pure accounting, cannot perturb
-// timing) and the merged Filesystem counters land under "io".
+// One sim::RunContext arms the timed passes: the transport, the analyzers
+// the flags ask for, and — with no flag — a simio stats sink (pure
+// accounting, cannot perturb timing) whose merged Filesystem counters land
+// under "io". Both passes install it, the parallel one on every worker.
 //
 // --race-explore walks every experiment's wildcard-receive orderings
-// through simrace (sequentially, on a clean engine, before the analyzers
-// attach — run_under installs its own candidate-discovery check), bounded
+// through simrace (sequentially, before the timed passes; each execution
+// runs under its own candidate-discovery context), bounded
 // by --max-execs per experiment, and embeds the explored/pruned/
 // infeasible/truncated/diverged totals under "race". A diverged count of
 // anything but zero fails the run: the paper artifacts are expected to be
@@ -56,7 +57,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,9 +68,10 @@
 #include "core/run_options.hpp"
 #include "machine/transport.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
-#include "simio/global.hpp"
+#include "simfault/schedule.hpp"
+#include "simio/filesystem.hpp"
 #include "simprof/profiler.hpp"
 #include "simrace/explorer.hpp"
 
@@ -79,6 +81,8 @@ using columbia::bench::ExperimentTiming;
 using columbia::core::Exec;
 using columbia::core::Experiment;
 using columbia::core::Report;
+using columbia::sim::RunContext;
+using columbia::sim::RunScope;
 
 struct PassResult {
   double total_seconds = 0.0;
@@ -109,7 +113,8 @@ PassResult run_sequential(const std::vector<Experiment>& registry,
 }
 
 PassResult run_parallel(const std::vector<Experiment>& registry, int repeat,
-                        int jobs, const std::string& strategy) {
+                        int jobs, const std::string& strategy,
+                        RunContext& ctx) {
   PassResult pass;
   pass.rendered.resize(registry.size());
   const std::uint64_t events_before = columbia::sim::total_events_processed();
@@ -124,6 +129,7 @@ PassResult run_parallel(const std::vector<Experiment>& registry, int repeat,
       columbia::common::parallel_for(
           registry.size(),
           [&](std::size_t i) {
+            const RunScope scope(ctx);
             pass.rendered[i] =
                 registry[i].run_exec(Exec::parallel(jobs)).render();
           },
@@ -163,16 +169,19 @@ struct FlowSpeedup {
   }
 };
 
-/// Times `exp` under the event backend, then the flow backend. The caller
-/// restores the global transport afterwards.
+/// Times `exp` under the event backend, then the flow backend.
 FlowSpeedup measure_flow_speedup(const Experiment& exp, int repeat) {
   using columbia::machine::TransportModel;
+  const auto timed = [&](TransportModel transport) {
+    RunContext ctx;
+    ctx.transport = transport;
+    const RunScope scope(ctx);
+    return columbia::bench::time_experiment(exp, Exec::sequential(), repeat);
+  };
   FlowSpeedup fs;
   fs.id = exp.id;
-  columbia::machine::set_global_transport(TransportModel::Event);
-  fs.event = columbia::bench::time_experiment(exp, Exec::sequential(), repeat);
-  columbia::machine::set_global_transport(TransportModel::Flow);
-  fs.flow = columbia::bench::time_experiment(exp, Exec::sequential(), repeat);
+  fs.event = timed(TransportModel::Event);
+  fs.flow = timed(TransportModel::Flow);
   return fs;
 }
 
@@ -300,13 +309,11 @@ int main(int argc, char** argv) {
                   fs.event.events_per_second, fs.flow.events_per_second);
     }
   }
-  columbia::machine::set_global_transport(transport_model);
-
-  // Wildcard-ordering exploration runs before the analyzers attach:
-  // run_under installs its own scoped candidate-discovery check, and the
-  // walk re-runs each scenario up to --max-execs times, so it must see a
-  // clean engine. Sequential only — schedule keys include the World
-  // construction serial, which parallel execution would not keep stable.
+  // Wildcard-ordering exploration runs before the timed passes: each
+  // execution runs under its own candidate-discovery context, and the
+  // walk re-runs each scenario up to --max-execs times. Sequential only —
+  // schedule keys include the World construction serial, which parallel
+  // execution would not keep stable.
   RaceTotals race;
   if (opts.spec.race_explore) {
     std::printf("race-explore: %zu experiments, max %d execs each...\n",
@@ -317,6 +324,7 @@ int main(int argc, char** argv) {
       };
       columbia::simrace::ExploreOptions ropts;
       ropts.max_execs = opts.spec.max_execs;
+      ropts.transport = transport_model;
       const auto result = columbia::simrace::explore(scenario, ropts);
       race.add(result);
       if (result.raced() || result.baseline_deadlocked) {
@@ -329,32 +337,29 @@ int main(int argc, char** argv) {
                 race.diverged);
   }
 
-  // RAII arming: each analyzer is on for exactly the scope of the timed
-  // passes. optional<Scoped*> because draining happens mid-function — the
-  // explicit reset() below is the disarm point, and an early exit (or an
-  // exception from a pass) can no longer leak a factory.
-  std::optional<columbia::simcheck::ScopedGlobalCheck> scoped_check;
-  std::optional<columbia::simprof::ScopedGlobalProfile> scoped_profile;
-  std::optional<columbia::simfault::ScopedGlobalFaults> scoped_faults;
-  if (opts.spec.check) scoped_check.emplace();
+  RunContext ctx;
+  ctx.transport = transport_model;
+  ctx.io_stats =
+      std::make_shared<columbia::sim::Sink<columbia::simio::IoStats>>();
+  std::shared_ptr<columbia::simcheck::CheckSink> check;
+  std::shared_ptr<columbia::simprof::ProfileSink> profile;
+  std::shared_ptr<columbia::simfault::FaultSink> faults;
+  if (opts.spec.check) check = columbia::simcheck::arm_check(ctx);
   if (opts.spec.profile) {
     // Roll-up only: the summary embeds aggregate profiles, not timelines.
     columbia::simprof::ProfileOptions popts;
     popts.retain_timeline = false;
-    scoped_profile.emplace(popts);
+    profile = columbia::simprof::arm_profile(ctx, popts);
   }
   if (opts.spec.faults) {
-    scoped_faults.emplace(columbia::simfault::FaultSpec::uniform(
-        opts.spec.fault_seed, opts.spec.fault_intensity));
+    faults = columbia::simfault::arm_faults(
+        ctx, columbia::simfault::FaultSpec::uniform(opts.spec.fault_seed,
+                                                    opts.spec.fault_intensity));
   }
-  // Always armed: storage accounting is a pure listener, and the "io"
-  // block has been part of the summary since schema 5 rather than an
-  // opt-in.
-  std::optional<columbia::simio::ScopedGlobalIoStats> scoped_io;
-  scoped_io.emplace();
   PassResult seq, par;
   const bool want_seq = mode == "both" || mode == "seq";
   const bool want_par = mode == "both" || mode == "par";
+  const RunScope scope(ctx);
   if (want_seq) {
     std::printf("sequential baseline: %zu experiments x%d...\n",
                 registry.size(), repeat);
@@ -365,14 +370,12 @@ int main(int argc, char** argv) {
   if (want_par) {
     std::printf("parallel (%s, %d jobs): %zu experiments x%d...\n",
                 strategy.c_str(), effective_jobs, registry.size(), repeat);
-    par = run_parallel(registry, repeat, jobs, strategy);
+    par = run_parallel(registry, repeat, jobs, strategy, ctx);
     std::printf("  %.2f s total, %.0f events/s\n", par.total_seconds,
                 par.events / std::max(par.total_seconds, 1e-12));
   }
 
-  const columbia::simio::IoStats io_stats =
-      columbia::simio::drain_global_io_stats();
-  scoped_io.reset();
+  const columbia::simio::IoStats io_stats = ctx.io_stats->take();
   std::printf("io: %llu filesystems, %llu opens, %llu writes, %llu reads, "
               "%llu chunks\n",
               static_cast<unsigned long long>(io_stats.filesystems),
@@ -382,21 +385,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(io_stats.chunks));
 
   columbia::simcheck::CheckReport check_report;
-  if (opts.spec.check) {
-    check_report = columbia::simcheck::drain_global_check_report();
-    scoped_check.reset();
+  if (check) {
+    check_report = check->take_report();
     std::fputs(check_report.render().c_str(), stderr);
   }
   columbia::simprof::ProfileReport profile_report;
-  if (opts.spec.profile) {
-    profile_report = columbia::simprof::drain_global_profile_report();
-    scoped_profile.reset();
+  if (profile) {
+    profile_report = profile->take_report();
     std::fputs(profile_report.render().c_str(), stderr);
   }
   columbia::simfault::FaultStats fault_stats;
-  if (opts.spec.faults) {
-    fault_stats = columbia::simfault::drain_global_fault_stats();
-    scoped_faults.reset();
+  if (faults) {
+    fault_stats = faults->take();
     std::fprintf(stderr,
                  "faults: %llu worlds, %llu dropped, %llu retries, "
                  "%llu lost\n",

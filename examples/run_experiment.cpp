@@ -27,10 +27,10 @@
 // Since the simserve redesign this binary is a thin client of the library
 // API: the shared RunOptionsParser fills a core::ScenarioSpec (the same
 // schema simserve requests use), each selected id binds one spec, and
-// core::Evaluator runs it — arming check/profile/faults through the
-// Scoped* RAII guards so no analyzer state leaks between ids or out of
-// the process. Stdout bytes per experiment are the Evaluator's report
-// bytes, which is exactly what simserve serves and caches.
+// core::Evaluator runs it — arming check/profile/faults on a RunContext
+// of its own, so no analyzer state leaks between ids. Stdout bytes per
+// experiment are the Evaluator's report bytes, which is exactly what
+// simserve serves and caches.
 //
 // Exits non-zero on an unknown id, a --filter that matches nothing, or —
 // with --check — any communication-correctness diagnostic.

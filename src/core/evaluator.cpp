@@ -2,55 +2,15 @@
 
 #include <chrono>
 #include <exception>
-#include <mutex>
-#include <optional>
-#include <shared_mutex>
+#include <memory>
 
 #include "core/experiment.hpp"
 #include "machine/transport.hpp"
-#include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
 #include "simprof/profiler.hpp"
 
 namespace columbia::core {
-
-namespace {
-
-/// Guards every process-global seam an evaluation may touch (analyzer
-/// factories, fault factory, transport default). Shared side: plain
-/// specs, nothing mutated. Exclusive side: everything else.
-std::shared_mutex& globals_mutex() {
-  static std::shared_mutex mu;
-  return mu;
-}
-
-/// The run itself, identical on both lock paths: time it, render it,
-/// count its events. Caller has already arranged the globals.
-void run_body(const Experiment& exp, const EvalOptions& opts,
-              EvalResult& result) {
-  const std::uint64_t events_before = sim::total_events_processed();
-  // simlint:allow(nondet-source) — host-side serving latency, never
-  // simulation state; report bytes stay (spec)-pure.
-  const auto t0 = std::chrono::steady_clock::now();
-  const Report report = exp.run_exec(opts.exec);
-  // simlint:allow(nondet-source) — see above
-  const auto t1 = std::chrono::steady_clock::now();
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.events = sim::total_events_processed() - events_before;
-  // The exact bytes run_experiment prints for one id: header, blank line,
-  // rendered report, trailing newline.
-  result.report = "### " + exp.id + " — " + exp.paper_ref + "\n### " +
-                  exp.title + "\n\n" + report.render() + "\n";
-  result.ok = true;
-}
-
-}  // namespace
-
-void Evaluator::with_exclusive_globals(const std::function<void()>& fn) {
-  std::unique_lock lock(globals_mutex());
-  fn();
-}
 
 EvalResult Evaluator::evaluate(const ScenarioSpec& spec,
                                const EvalOptions& opts) const {
@@ -62,77 +22,66 @@ EvalResult Evaluator::evaluate(const ScenarioSpec& spec,
     result.error = "unknown experiment id: " + spec.experiment;
     return result;
   }
-  machine::TransportModel transport;
+  sim::RunContext ctx;
   std::string terr;
-  if (!machine::parse_transport(spec.transport, transport, terr)) {
+  if (!machine::parse_transport(spec.transport, ctx.transport, terr)) {
     result.error = terr;
     return result;
   }
+  std::shared_ptr<simcheck::CheckSink> check;
+  std::shared_ptr<simprof::ProfileSink> profile;
+  std::shared_ptr<simfault::FaultSink> faults;
+  if (spec.check) check = simcheck::arm_check(ctx);
+  if (spec.profile) {
+    simprof::ProfileOptions popts;
+    popts.retain_timeline = opts.retain_timeline;
+    profile = simprof::arm_profile(ctx, popts);
+  }
+  if (spec.faults) {
+    faults = simfault::arm_faults(
+        ctx, simfault::FaultSpec::uniform(spec.fault_seed,
+                                          spec.fault_intensity));
+  }
 
   try {
-    const bool arms_analyzers =
-        spec.check || spec.profile || spec.faults || spec.race_explore;
-    if (!arms_analyzers) {
-      // Fast path: if the installed transport default already matches the
-      // spec, nothing global needs touching — run concurrently.
-      std::shared_lock lock(globals_mutex());
-      if (machine::global_transport() == transport) {
-        run_body(*exp, opts, result);
-        return result;
-      }
-      // Mismatched default: fall through to the exclusive path, which may
-      // switch it (scoped).
-    }
-    std::unique_lock lock(globals_mutex());
-    machine::ScopedTransport scoped_transport(transport);
-    {
-      std::optional<simcheck::ScopedGlobalCheck> check;
-      std::optional<simprof::ScopedGlobalProfile> profile;
-      std::optional<simfault::ScopedGlobalFaults> faults;
-      if (spec.check) check.emplace();
-      if (spec.profile) {
-        simprof::ProfileOptions popts;
-        popts.retain_timeline = opts.retain_timeline;
-        profile.emplace(popts);
-      }
-      if (spec.faults) {
-        faults.emplace(
-            simfault::FaultSpec::uniform(spec.fault_seed,
-                                         spec.fault_intensity));
-      }
-      run_body(*exp, opts, result);
-      // Drain while still armed (the guards only gate *arming*; draining
-      // after disable would work too, but this keeps the window tight and
-      // mirrors the binaries' historical order).
-      if (spec.check) {
-        const auto report = simcheck::drain_global_check_report();
-        result.check_report = report.render();
-        result.check_json = report.to_json();
-        result.check_clean = report.clean();
-      }
-      if (spec.profile) {
-        const auto report = simprof::drain_global_profile_report();
-        result.profile_report = report.render();
-        result.profile_json = report.to_json();
-        if (opts.retain_timeline) {
-          const auto trace = simprof::drain_global_profile_trace();
-          result.trace_valid = trace.valid;
-          if (trace.valid) {
-            result.trace_chrome_json = trace.chrome_json();
-            result.trace_gantt_csv = trace.gantt_csv();
-            result.trace_comm_csv = trace.comm_csv();
-          }
-        }
-      }
-      if (spec.faults) {
-        result.fault_stats = simfault::drain_global_fault_stats();
-      }
-    }
+    const sim::RunScope scope(ctx);
+    // simlint:allow(nondet-source) — host-side serving latency, never
+    // simulation state; report bytes stay (spec)-pure.
+    const auto t0 = std::chrono::steady_clock::now();
+    const Report report = exp->run_exec(opts.exec);
+    // simlint:allow(nondet-source) — see above
+    const auto t1 = std::chrono::steady_clock::now();
+    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+    // The exact bytes run_experiment prints for one id: header, blank
+    // line, rendered report, trailing newline.
+    result.report = "### " + exp->id + " — " + exp->paper_ref + "\n### " +
+                    exp->title + "\n\n" + report.render() + "\n";
+    result.ok = true;
   } catch (const std::exception& e) {
-    result.ok = false;
     result.error = std::string("evaluation failed: ") + e.what();
-    result.report.clear();
+    return result;
   }
+  result.events = ctx.events.load(std::memory_order_relaxed);
+
+  if (check) {
+    const auto report = check->take_report();
+    result.check_report = report.render();
+    result.check_json = report.to_json();
+    result.check_clean = report.clean();
+  }
+  if (profile) {
+    const auto report = profile->take_report();
+    result.profile_report = report.render();
+    result.profile_json = report.to_json();
+    const auto trace = profile->take_trace();
+    result.trace_valid = trace.valid;
+    if (trace.valid) {
+      result.trace_chrome_json = trace.chrome_json();
+      result.trace_gantt_csv = trace.gantt_csv();
+      result.trace_comm_csv = trace.comm_csv();
+    }
+  }
+  if (faults) result.fault_stats = faults->take();
   return result;
 }
 

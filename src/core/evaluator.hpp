@@ -1,23 +1,22 @@
 #pragma once
 /// \file evaluator.hpp
-/// `Evaluator` — one ScenarioSpec in, one Result out, no leaked globals.
+/// `Evaluator` — one ScenarioSpec in, one Result out, nothing shared.
 ///
 /// The library face of what run_experiment's main() used to hand-roll:
-/// resolve the spec's experiment against the registry, arm exactly the
-/// analyzers the spec asks for (via the Scoped* RAII guards, so an
-/// exception cannot leave a factory installed), run the sweep under the
-/// caller's Exec policy, and return the rendered report bytes plus the
-/// drained analyzer artifacts. The report bytes are byte-identical to
-/// what `run_experiment <id>` prints for the same spec — pinned by
-/// test_simserve — which is what makes results cacheable by spec hash.
+/// resolve the spec's experiment against the registry, build a
+/// sim::RunContext that arms exactly what the spec asks for (transport,
+/// simcheck, simprof, simfault), run the sweep under the caller's Exec
+/// policy with that context installed, and return the rendered report
+/// bytes plus the analyzer artifacts straight out of the context's sinks.
+/// The report bytes are byte-identical to what `run_experiment <id>`
+/// prints for the same spec — pinned by test_simserve — which is what
+/// makes results cacheable by spec hash.
 ///
-/// Concurrency: the analyzers, the fault factory, and the transport
-/// default are process-global, so two evaluations that arm them cannot
-/// overlap. evaluate() serializes internally on a process-wide
-/// shared/exclusive lock: specs that touch no global state (no analyzers,
-/// transport matching the installed default) run concurrently under the
-/// shared side; everything else takes the exclusive side and restores the
-/// globals before returning. Callers never manage globals themselves.
+/// Concurrency: nothing an evaluation arms is process-global, so
+/// evaluate() takes no lock. Any number of evaluations — plain or
+/// analyzed, on any transport — may run at once on different threads,
+/// and each one's artifacts and event count are exactly what it would
+/// produce alone.
 ///
 /// Error handling: an unknown experiment id, a bad transport, or an
 /// exception escaping the sweep (e.g. a fault-induced deadlock) comes
@@ -25,7 +24,6 @@
 /// does not throw, so a serving loop can keep going.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/scenario.hpp"
@@ -53,9 +51,7 @@ struct EvalResult {
   std::uint64_t spec_hash = 0;
   std::string report;  ///< byte-identical to run_experiment's stdout block
 
-  /// Engine events this evaluation processed (delta of the global
-  /// counter). Exact for exclusive evaluations; approximate when plain
-  /// evaluations overlap on the shared side.
+  /// Engine events this evaluation processed (its RunContext's count).
   std::uint64_t events = 0;
   double wall_seconds = 0.0;  ///< host wall clock, for serving metrics only
 
@@ -78,21 +74,13 @@ struct EvalResult {
 
 class Evaluator {
  public:
-  /// Evaluates `spec` and returns the result. Never throws; never leaves
-  /// process-global analyzer/fault/transport state modified.
+  /// Evaluates `spec` and returns the result. Never throws.
   ///
   /// `spec.race_explore` is carried in the hash but not acted on here —
   /// core sits below simrace, so ordering exploration belongs to the
-  /// layers that link it (simserve::Service, bench_all). They run it
-  /// under with_exclusive_globals().
+  /// layers that link it (simserve::registry_eval, bench_all).
   EvalResult evaluate(const ScenarioSpec& spec,
                       const EvalOptions& opts = {}) const;
-
-  /// Runs `fn` while holding the same exclusive lock evaluate() takes for
-  /// global-state specs — the hook for callers that must mutate process
-  /// globals themselves (simrace exploration installs its own check +
-  /// match-policy factories) without racing concurrent plain evaluations.
-  static void with_exclusive_globals(const std::function<void()>& fn);
 };
 
 }  // namespace columbia::core

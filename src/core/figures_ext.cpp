@@ -234,8 +234,7 @@ Report ext_columbia_full(const Exec& exec) {
   // end-to-end: 20 boxes, 10,240 CPUs. Event-model cost scales with
   // per-hop contention events — at this size a single random-ring sweep
   // queues tens of millions of them — so every scenario pins the flow
-  // transport explicitly (per-Network, not via the process-wide default:
-  // scenarios may run concurrently on the host pool).
+  // transport explicitly per Network, whatever the run's transport.
   constexpr auto kFlow = machine::TransportModel::Flow;
   constexpr int kBoxes = 20;
   constexpr int kCpusPerBox = 512;

@@ -8,8 +8,8 @@
 //                      collective buffering through aggregator ranks
 //  * ext-io-overlap  — blocking dumps vs write_async double buffering
 //
-// Every scenario wires fs.set_fault_model(world.fault_model()) so a
-// global `--faults` model degrades the server disks alongside the fabric,
+// Every scenario wires fs.set_fault_model(world.fault_model()) so the
+// run's `--faults` model degrades the server disks alongside the fabric,
 // and the NFS preset routes its chunks across the compute fabric through
 // machine::Network (the TransportModel seam).
 

@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::core {
 
@@ -16,9 +17,13 @@ std::vector<std::vector<double>> run_scenarios(
     }
     return results;
   }
+  // Pool workers run each closure under the caller's RunContext, so a
+  // parallel sweep is armed exactly like a sequential one.
+  sim::RunContext* ctx = sim::current_run_context();
   common::parallel_for(
       scenarios.size(),
       [&](std::size_t i) {
+        const sim::RunScope scope(ctx);
         COL_REQUIRE(static_cast<bool>(scenarios[i].run),
                     "scenario has no run closure");
         results[i] = scenarios[i].run();

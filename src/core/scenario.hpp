@@ -41,7 +41,8 @@ struct Scenario {
 
 /// Runs all scenarios under `exec`; result i belongs to scenarios[i]
 /// regardless of completion order. Exceptions propagate (lowest failing
-/// index first in parallel mode).
+/// index first in parallel mode). Every closure runs under the caller's
+/// sim::RunContext, whichever thread runs it.
 std::vector<std::vector<double>> run_scenarios(
     const std::vector<Scenario>& scenarios, const Exec& exec);
 

@@ -58,13 +58,6 @@ struct ScenarioSpec {
 
   bool operator==(const ScenarioSpec& other) const = default;
 
-  /// True when evaluating this spec must mutate process-global simulator
-  /// state (analyzer factories, fault factory, transport default) — the
-  /// Evaluator serializes such specs against everything else.
-  bool uses_process_globals() const {
-    return check || profile || faults || race_explore || transport != "event";
-  }
-
   /// Fully-elaborated canonical rendering: fixed key order, every field
   /// present, compact (no whitespace), numbers via
   /// common::json::number_to_string. This is the hash input.

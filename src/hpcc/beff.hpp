@@ -33,12 +33,12 @@ inline constexpr double kBandwidthBytes = 2.0e6;
 class Beff {
  public:
   /// `transport` selects the network backend for every internal world this
-  /// component builds; the default follows the process-wide selection, so
+  /// component builds; the default follows the installed RunContext, so
   /// drivers that must pin a backend (e.g. ext-columbia-full forcing the
-  /// flow model) pass it explicitly instead of mutating global state.
+  /// flow model) pass it explicitly.
   Beff(const machine::Cluster& cluster, machine::Placement placement,
        std::uint64_t seed = 0xBEEFull,
-       machine::TransportModel transport = machine::global_transport());
+       machine::TransportModel transport = machine::context_transport());
 
   int num_ranks() const { return placement_.num_ranks(); }
 

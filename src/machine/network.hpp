@@ -49,11 +49,11 @@ namespace columbia::machine {
 
 class Network {
  public:
-  /// The default transport is the process-wide selection (--transport);
+  /// The default transport is the installed RunContext's (--transport);
   /// pass one explicitly to force a backend regardless of the run mode
   /// (the full-Columbia experiment forces Flow this way).
   Network(sim::Engine& engine, const Cluster& cluster,
-          TransportModel transport = global_transport());
+          TransportModel transport = context_transport());
 
   const Cluster& cluster() const { return *cluster_; }
   sim::Engine& engine() const { return *engine_; }

@@ -1,12 +1,8 @@
 #include "machine/transport.hpp"
 
-#include <atomic>
+#include "sim/run_context.hpp"
 
 namespace columbia::machine {
-
-namespace {
-std::atomic<TransportModel> g_transport{TransportModel::Event};
-}  // namespace
 
 const char* to_string(TransportModel model) {
   return model == TransportModel::Flow ? "flow" : "event";
@@ -26,12 +22,9 @@ bool parse_transport(const std::string& name, TransportModel& model,
   return false;
 }
 
-void set_global_transport(TransportModel model) {
-  g_transport.store(model, std::memory_order_relaxed);
-}
-
-TransportModel global_transport() {
-  return g_transport.load(std::memory_order_relaxed);
+TransportModel context_transport() {
+  const sim::RunContext* ctx = sim::current_run_context();
+  return ctx != nullptr ? ctx->transport : TransportModel::Event;
 }
 
 }  // namespace columbia::machine

@@ -7,14 +7,12 @@
 /// start/finish event pair).
 ///
 /// Selection is per run: the binaries parse `--transport <event|flow>`
-/// through the shared RunOptionsParser and install the result with
-/// set_global_transport() before any experiment runs — mirroring how
-/// `--faults` installs the global fault factory — so the ~30 Network
+/// through the shared RunOptionsParser into a core::ScenarioSpec, and the
+/// run's sim::RunContext carries the model, so the ~30 Network
 /// construction sites pick it up through the constructor's default
 /// argument without signature churn. Code that *requires* one backend
-/// (the full-Columbia experiment is only tractable under flow) passes
-/// the model explicitly instead of mutating the global, keeping parallel
-/// registry sweeps deterministic.
+/// (the full-Columbia experiment is only tractable under flow) passes the
+/// model explicitly instead.
 
 #include <string>
 
@@ -24,6 +22,8 @@ enum class TransportModel {
   Event,  ///< per-hop resource queueing (exact serialization order)
   Flow,   ///< fluid max-min fair sharing (epoch-solved, event-minimal)
 };
+// RunContext value-initializes its transport; that must mean Event.
+static_assert(TransportModel{} == TransportModel::Event);
 
 const char* to_string(TransportModel model);
 
@@ -32,26 +32,9 @@ const char* to_string(TransportModel model);
 bool parse_transport(const std::string& name, TransportModel& model,
                      std::string& error);
 
-/// Process-wide default consulted by Network's constructor. Set once at
-/// startup from --transport; not meant to be toggled mid-run (scenario
-/// closures on pool threads read it concurrently).
-void set_global_transport(TransportModel model);
-TransportModel global_transport();
-
-/// RAII save/switch/restore of the global transport, for tests and tools
-/// that compare backends within one process. Same caveat as the setter:
-/// construct/destroy only while no Worlds are running.
-struct ScopedTransport {
-  explicit ScopedTransport(TransportModel model)
-      : saved_(global_transport()) {
-    set_global_transport(model);
-  }
-  ~ScopedTransport() { set_global_transport(saved_); }
-  ScopedTransport(const ScopedTransport&) = delete;
-  ScopedTransport& operator=(const ScopedTransport&) = delete;
-
- private:
-  TransportModel saved_;
-};
+/// The transport of the RunContext installed on this thread
+/// (sim/run_context.hpp), or Event outside any context. Network's and
+/// hpcc::Beff's constructors default to it.
+TransportModel context_transport();
 
 }  // namespace columbia::machine

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::sim {
 
@@ -163,7 +164,7 @@ void Engine::reap_finished() {
   finished_.clear();
 }
 
-// simlint:seam(cross-rank-shared-mutable,nondet-interprocedural): the current-engine pointer is thread_local (one engine per host thread — exactly the PDES partition boundary), the event total is an atomic diagnostics counter, and the wall clock feeds only the events/sec perf counter; none of it is simulation state.
+// simlint:seam(cross-rank-shared-mutable,nondet-interprocedural): the current-engine pointer is thread_local (one engine per host thread — exactly the PDES partition boundary), the event totals (process-wide and per RunContext) are atomic diagnostics counters, and the wall clock feeds only the events/sec perf counter; none of it is simulation state.
 void Engine::run() {
   Engine* prev = g_current_engine;
   g_current_engine = this;
@@ -185,8 +186,11 @@ void Engine::run() {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         wall_start)
               .count();
-      g_total_events.fetch_add(self->events_processed_ - events_at_entry,
-                               std::memory_order_relaxed);
+      const std::uint64_t events = self->events_processed_ - events_at_entry;
+      g_total_events.fetch_add(events, std::memory_order_relaxed);
+      if (RunContext* ctx = current_run_context()) {
+        ctx->events.fetch_add(events, std::memory_order_relaxed);
+      }
     }
   } restore{prev, this, events_at_entry, wall_start};
 

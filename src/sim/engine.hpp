@@ -45,7 +45,8 @@ class DeadlockError : public std::runtime_error {
 };
 
 /// Process-wide count of events processed by all engines on all threads
-/// (monotonic; used by the bench harness for events/sec reporting).
+/// (monotonic; used by the bench harness for events/sec reporting). The
+/// exact count of one run is its RunContext's `events` (run_context.hpp).
 std::uint64_t total_events_processed();
 
 class Engine {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 namespace columbia::simcheck {
 
@@ -509,36 +510,15 @@ void Checker::finalize() {
 void Checker::on_finalize() { finalize(); }
 
 // ---------------------------------------------------------------------------
-// Global (--check) mode
+// Per-run (--check) mode
 // ---------------------------------------------------------------------------
 
-namespace {
-std::mutex g_mutex;
-CheckReport g_report;
-std::vector<RaceDecision> g_race_decisions;
-std::atomic<bool> g_enabled{false};
-std::atomic<std::uint64_t> g_regions{0};
-std::atomic<int> g_world_serial{0};
-std::uint64_t g_world_factory_handle = 0;
-std::uint64_t g_region_observer_handle = 0;
-
-void publish_global(const CheckReport& report) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_report.merge(report);
-}
-}  // namespace
-
-// simlint:seam(cross-rank-shared-mutable): mutex-ordered merge of this world's race report into the process-wide sink at teardown; the merge is commutative, so cross-rank completion order cannot change the published report.
+// simlint:seam(cross-rank-shared-mutable): mutex-ordered merge of this world's report into its RunContext's CheckSink at teardown; the merge is commutative, so cross-rank (and cross-thread) completion order cannot change the merged report.
 void Checker::publish() {
-  if (!publish_globally_ || published_) return;
+  if (!sink_ || published_) return;
   published_ = true;
   report_.stats.worlds = 1;
-  publish_global(report_);
-  if (!decisions_.empty()) {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_race_decisions.insert(g_race_decisions.end(), decisions_.begin(),
-                            decisions_.end());
-  }
+  sink_->publish(report_, decisions_);
 }
 
 void Checker::check_region(const simomp::RegionSpec& region, int nthreads,
@@ -566,64 +546,28 @@ void Checker::check_region(const simomp::RegionSpec& region, int nthreads,
            " (nthreads=" + std::to_string(nthreads) + ")"});
 }
 
-void enable_global_check() {
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_report = CheckReport{};
-    g_race_decisions.clear();
-  }
-  g_regions.store(0, std::memory_order_relaxed);
-  g_world_serial.store(0, std::memory_order_relaxed);
-  g_enabled.store(true, std::memory_order_relaxed);
-  // Handle-based registration so --check composes with other global
-  // analyzers (simprof's --profile) instead of displacing them.
-  g_world_factory_handle = simmpi::add_world_observer_factory(
-      [](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
-        auto checker = std::make_shared<Checker>();
-        checker->set_publish_globally(true);
-        checker->set_world_serial(
-            g_world_serial.fetch_add(1, std::memory_order_relaxed));
-        checker->attach(world);
-        return checker;
-      });
-  g_region_observer_handle = simomp::add_region_observer(
-      [](const simomp::RegionSpec& region, int nthreads) {
-        g_regions.fetch_add(1, std::memory_order_relaxed);
-        CheckReport local;
-        Checker::check_region(region, nthreads, local);
-        if (!local.diagnostics.empty()) publish_global(local);
-      });
+void CheckSink::publish(const CheckReport& report,
+                        const std::vector<RaceDecision>& decisions) {
+  std::lock_guard<std::mutex> lock(mu_);
+  report_.merge(report);
+  decisions_.insert(decisions_.end(), decisions.begin(), decisions.end());
 }
 
-void disable_global_check() {
-  g_enabled.store(false, std::memory_order_relaxed);
-  simmpi::remove_world_observer_factory(g_world_factory_handle);
-  simomp::remove_region_observer(g_region_observer_handle);
-  g_world_factory_handle = 0;
-  g_region_observer_handle = 0;
-}
-
-bool global_check_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-CheckReport drain_global_check_report() {
+CheckReport CheckSink::take_report() {
   CheckReport out;
   {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    out = std::move(g_report);
-    g_report = CheckReport{};
+    std::lock_guard<std::mutex> lock(mu_);
+    out = std::exchange(report_, CheckReport{});
   }
-  out.stats.regions += g_regions.exchange(0, std::memory_order_relaxed);
+  out.stats.regions += regions_.exchange(0, std::memory_order_relaxed);
   return out;
 }
 
-std::vector<RaceDecision> drain_global_race_decisions() {
+std::vector<RaceDecision> CheckSink::take_race_decisions() {
   std::vector<RaceDecision> out;
   {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    out = std::move(g_race_decisions);
-    g_race_decisions.clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    out = std::exchange(decisions_, {});
   }
   std::sort(out.begin(), out.end(),
             [](const RaceDecision& a, const RaceDecision& b) {
@@ -632,6 +576,26 @@ std::vector<RaceDecision> drain_global_race_decisions() {
               return a.k < b.k;
             });
   return out;
+}
+
+std::shared_ptr<CheckSink> arm_check(sim::RunContext& ctx) {
+  auto sink = std::make_shared<CheckSink>();
+  ctx.world_observers.push_back(
+      [sink](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
+        auto checker = std::make_shared<Checker>();
+        checker->publish_to(sink);
+        checker->set_world_serial(sink->next_world_serial());
+        checker->attach(world);
+        return checker;
+      });
+  ctx.region_observers.push_back(
+      [sink](const simomp::RegionSpec& region, int nthreads) {
+        sink->count_region();
+        CheckReport local;
+        Checker::check_region(region, nthreads, local);
+        if (!local.diagnostics.empty()) sink->publish(local, {});
+      });
+  return sink;
 }
 
 }  // namespace columbia::simcheck

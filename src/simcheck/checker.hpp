@@ -23,17 +23,22 @@
 /// Two ways to use it:
 ///   * standalone (tests): `Checker c; c.attach(world); world.run(...);`
 ///     then inspect `c.report()`;
-///   * globally (`--check` on run_experiment / bench_all):
-///     `enable_global_check()` makes every subsequently constructed World
-///     own a checker and also validates every OpenMP region evaluation;
-///     `drain_global_check_report()` collects the merged result.
+///   * per run (`--check` on run_experiment / bench_all / simserve):
+///     `arm_check(ctx)` makes every World constructed under the
+///     sim::RunContext own a checker and also validates every OpenMP
+///     region evaluation; the returned CheckSink collects the merged
+///     result.
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/run_context.hpp"
 #include "simmpi/observer.hpp"
 #include "simmpi/world.hpp"
 #include "simomp/omp_model.hpp"
@@ -103,6 +108,8 @@ struct CheckReport {
   std::string to_json(int indent = 0) const;
 };
 
+class CheckSink;
+
 class Checker final : public simmpi::CommObserver {
  public:
   /// Most diagnostics kept per kind; the rest are counted as suppressed.
@@ -128,14 +135,13 @@ class Checker final : public simmpi::CommObserver {
 
   /// Tags this checker's decisions with a World construction serial so
   /// (world, rank, k) is unique across the Worlds of one exploration run.
-  /// The global-check factory assigns serials in construction order —
-  /// deterministic only under sequential execution, which the explorer
-  /// requires anyway.
+  /// arm_check assigns serials in construction order — deterministic only
+  /// under sequential execution, which the explorer requires anyway.
   void set_world_serial(int serial) { world_serial_ = serial; }
 
-  /// When set, the report is appended to the process-global collector at
-  /// finalize/deadlock (used by the global-check factory).
-  void set_publish_globally(bool publish) { publish_globally_ = publish; }
+  /// When set, the report and race decisions are merged into `sink` at
+  /// finalize/deadlock (used by arm_check's factory).
+  void publish_to(std::shared_ptr<CheckSink> sink) { sink_ = std::move(sink); }
 
   /// Validates one OpenMP region spec (non-finite or negative demand that
   /// the model's contracts cannot catch); appends to `out`.
@@ -210,7 +216,7 @@ class Checker final : public simmpi::CommObserver {
   simmpi::World* world_ = nullptr;
   int nranks_ = 0;
   int world_serial_ = 0;
-  bool publish_globally_ = false;
+  std::shared_ptr<CheckSink> sink_;
   bool finalized_ = false;
   bool published_ = false;
   std::unordered_map<std::uint64_t, OpRecord> ops_;
@@ -223,45 +229,41 @@ class Checker final : public simmpi::CommObserver {
   CheckReport report_;
 };
 
-// --- Global opt-in (`--check`) ----------------------------------------------
+// --- Per-run arming (`--check`) --------------------------------------------
 
-/// Installs the World observer factory and the OpenMP region validator:
-/// every World constructed afterwards is checked, and all results flow
-/// into one process-global report. Resets any previously drained state.
-///
-/// Deprecated as a raw pair since the simserve API redesign: an enable
-/// without its disable poisons every later run in the process, so new
-/// code holds a ScopedGlobalCheck (or goes through core::Evaluator,
-/// which does) instead of calling these directly.
-[[deprecated("hold a simcheck::ScopedGlobalCheck instead")]]
-void enable_global_check();
-[[deprecated("hold a simcheck::ScopedGlobalCheck instead")]]
-void disable_global_check();
-bool global_check_enabled();
+/// Where the checkers of one RunContext publish. Merges are mutex-ordered
+/// and commutative, so a parallel sweep publishes the same totals as a
+/// sequential one.
+class CheckSink {
+ public:
+  void publish(const CheckReport& report,
+               const std::vector<RaceDecision>& decisions);
+  /// One OpenMP region evaluation validated (CheckStats::regions).
+  void count_region() { regions_.fetch_add(1, std::memory_order_relaxed); }
+  /// Next World construction serial under this sink.
+  int next_world_serial() {
+    return world_serial_.fetch_add(1, std::memory_order_relaxed);
+  }
 
-/// Moves the accumulated global report out (and clears it). Call after
-/// the runs of interest; a non-clean report should fail the process.
-CheckReport drain_global_check_report();
+  /// Moves the merged report out and resets it.
+  CheckReport take_report();
+  /// Moves the wildcard race decisions out, sorted by (world, rank, k), and
+  /// resets them. World serials count construction order under the
+  /// context — run the scenario sequentially (core::Exec::sequential) for
+  /// stable serials. src/simrace's candidate-discovery path.
+  std::vector<RaceDecision> take_race_decisions();
 
-/// Moves the accumulated wildcard race decisions out (and clears them),
-/// sorted by (world, rank, k). Worlds are numbered in construction order
-/// since the last enable_global_check() — run the scenario sequentially
-/// (core::Exec::sequential) for stable world serials. src/simrace's
-/// candidate-discovery path.
-std::vector<RaceDecision> drain_global_race_decisions();
-
-/// RAII pairing for enable_global_check/disable_global_check — looped
-/// test bodies that enable and forget to disable poison every later run
-/// in the process (the footgun test_determinism exposed in PR 5).
-struct ScopedGlobalCheck {
-  // The one sanctioned caller of the deprecated raw pair.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ScopedGlobalCheck() { enable_global_check(); }
-  ~ScopedGlobalCheck() { disable_global_check(); }
-#pragma GCC diagnostic pop
-  ScopedGlobalCheck(const ScopedGlobalCheck&) = delete;
-  ScopedGlobalCheck& operator=(const ScopedGlobalCheck&) = delete;
+ private:
+  std::mutex mu_;
+  CheckReport report_;
+  std::vector<RaceDecision> decisions_;
+  std::atomic<std::uint64_t> regions_{0};
+  std::atomic<int> world_serial_{0};
 };
+
+/// Arms `ctx` for `--check`: every World constructed under it owns a
+/// Checker, every OpenMP region evaluated under it is validated, and all
+/// results merge into the returned sink.
+std::shared_ptr<CheckSink> arm_check(sim::RunContext& ctx);
 
 }  // namespace columbia::simcheck

@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "simfault/global.hpp"
+#include "simmpi/world.hpp"
 
 namespace columbia::simfault {
 
@@ -187,10 +187,10 @@ ScheduledFaultModel::ScheduledFaultModel(const FaultSpec& spec,
                           cluster.cpus_per_node()) {}
 
 ScheduledFaultModel::~ScheduledFaultModel() {
-  if (publish_globally_) {
+  if (sink_) {
     FaultStats out = stats_;
     out.worlds = 1;
-    publish_global_fault_stats(out);
+    sink_->merge(out);
   }
 }
 
@@ -382,6 +382,21 @@ void ScheduledFaultModel::emit_fault_spans(double t0, double t1,
       }
     }
   }
+}
+
+std::shared_ptr<FaultSink> arm_faults(sim::RunContext& ctx,
+                                      const FaultSpec& spec) {
+  auto sink = std::make_shared<FaultSink>();
+  if (spec.enabled()) {
+    ctx.world_faults = [spec, sink](simmpi::World& world)
+        -> std::shared_ptr<machine::FaultModel> {
+      auto model = std::make_shared<ScheduledFaultModel>(
+          spec, world.network().cluster());
+      model->publish_to(sink);
+      return model;
+    };
+  }
+  return sink;
 }
 
 }  // namespace columbia::simfault

@@ -26,16 +26,18 @@
 /// arguments and that state. Same seed => byte-identical reports.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
 #include "machine/cluster.hpp"
 #include "machine/fault.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::simfault {
 
 /// Intensity knobs for one fault schedule. Default-constructed = healthy
-/// machine (enabled() == false, and the global factory builds no model).
+/// machine (enabled() == false, and arm_faults builds no model).
 struct FaultSpec {
   std::uint64_t seed = 0;
   /// The scalar the knobs were derived from (kept for reporting only).
@@ -113,7 +115,7 @@ struct FaultSpec {
                                 double crash_period = 0.0);
 };
 
-/// Counters for one run (or merged across runs in global mode).
+/// Counters for one World (or merged across the Worlds of a run).
 struct FaultStats {
   std::uint64_t worlds = 0;
   std::uint64_t messages_dropped = 0;
@@ -122,6 +124,9 @@ struct FaultStats {
 
   void merge(const FaultStats& other);
 };
+
+/// Where the fault models of one RunContext merge their counters.
+using FaultSink = sim::Sink<FaultStats>;
 
 /// The concrete seed-driven fault model (see file comment).
 class ScheduledFaultModel final : public machine::FaultModel {
@@ -133,13 +138,12 @@ class ScheduledFaultModel final : public machine::FaultModel {
   /// Convenience: shape taken from the cluster.
   ScheduledFaultModel(const FaultSpec& spec,
                       const machine::Cluster& cluster);
-  /// Publishes stats() into the global collector when global publishing
-  /// was requested (global.hpp).
+  /// Merges stats() into the sink set by publish_to, if any.
   ~ScheduledFaultModel() override;
 
   const FaultSpec& spec() const { return spec_; }
   const FaultStats& stats() const { return stats_; }
-  void set_publish_globally(bool publish) { publish_globally_ = publish; }
+  void publish_to(std::shared_ptr<FaultSink> sink) { sink_ = std::move(sink); }
 
   // --- schedule queries (tests, placement reporting) -----------------------
   bool link_degraded(int node) const;
@@ -190,7 +194,15 @@ class ScheduledFaultModel final : public machine::FaultModel {
   std::vector<double> jitter_phase_;  // per node, in [0, jitter_period)
   std::vector<double> fail_time_;    // per node, in [0, link_fail_window)
   FaultStats stats_;
-  bool publish_globally_ = false;
+  std::shared_ptr<FaultSink> sink_;
 };
+
+/// Arms `ctx` for `--faults <seed:intensity>`: every World constructed
+/// under it builds a ScheduledFaultModel from `spec` and the World's own
+/// cluster shape, attaches it, and merges its counters into the returned
+/// sink at teardown. A spec with `enabled() == false` builds no model at
+/// all, so `--faults 0:0` runs are byte-identical to clean runs.
+std::shared_ptr<FaultSink> arm_faults(sim::RunContext& ctx,
+                                      const FaultSpec& spec);
 
 }  // namespace columbia::simfault

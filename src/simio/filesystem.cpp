@@ -33,6 +33,16 @@ sim::Task drive_async_write(Filesystem* fs, int client_cpu,
 
 }  // namespace
 
+void IoStats::merge(const IoStats& other) {
+  filesystems += other.filesystems;
+  opens += other.opens;
+  writes += other.writes;
+  reads += other.reads;
+  chunks += other.chunks;
+  bytes_written += other.bytes_written;
+  bytes_read += other.bytes_read;
+}
+
 // ---------------------------------------------------------------------------
 // Filesystem
 // ---------------------------------------------------------------------------
@@ -55,14 +65,16 @@ Filesystem::Filesystem(sim::Engine& engine, machine::FilesystemSpec spec)
   for (int s = 0; s < spec_.servers; ++s) {
     servers_.push_back(std::make_unique<Disk>(engine, disk, s));
   }
-  publish_globally_ = global_io_stats_enabled();
+  if (const sim::RunContext* ctx = sim::current_run_context()) {
+    stats_sink_ = ctx->io_stats;
+  }
 }
 
 Filesystem::~Filesystem() {
-  if (publish_globally_) {
+  if (stats_sink_) {
     IoStats out = stats_;
     out.filesystems = 1;
-    publish_global_io_stats(out);
+    stats_sink_->merge(out);
   }
 }
 

@@ -50,16 +50,32 @@
 #include "machine/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/run_context.hpp"
 #include "sim/task.hpp"
 #include "sim/trigger.hpp"
 #include "simio/disk.hpp"
-#include "simio/global.hpp"
 #include "simmpi/world.hpp"
 
 namespace columbia::simio {
 
 class File;
 class Filesystem;
+
+/// Filesystem counters. A filesystem built under a RunContext with an
+/// `io_stats` sink merges its own into it at teardown (pure accounting:
+/// armed and unarmed runs stay byte-identical). Byte totals are integers
+/// so cross-thread merge order cannot perturb the sums.
+struct IoStats {
+  std::uint64_t filesystems = 0;
+  std::uint64_t opens = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t chunks = 0;  ///< stripe-unit accesses issued to server disks
+  std::uint64_t bytes_written = 0;
+  std::uint64_t bytes_read = 0;
+
+  void merge(const IoStats& other);
+};
 
 /// Handle for an asynchronous file operation (the I/O analogue of
 /// simmpi::Request). Move-only; complete it with File::wait.
@@ -135,8 +151,8 @@ class File {
 class Filesystem {
  public:
   /// Expands `spec` into server disks + metadata/streaming resources on
-  /// `engine`. A filesystem constructed while the global I/O stats
-  /// collector is armed (global.hpp) publishes its counters at teardown.
+  /// `engine`. A filesystem constructed under a RunContext with an
+  /// `io_stats` sink merges its counters into it at teardown.
   Filesystem(sim::Engine& engine, machine::FilesystemSpec spec);
   ~Filesystem();
   Filesystem(const Filesystem&) = delete;
@@ -188,7 +204,7 @@ class Filesystem {
   const machine::FaultModel* fault_ = nullptr;
   std::uint64_t files_created_ = 0;
   IoStats stats_;
-  bool publish_globally_ = false;
+  std::shared_ptr<sim::Sink<IoStats>> stats_sink_;
 };
 
 }  // namespace columbia::simio

@@ -33,8 +33,7 @@ bool world_state_call(const std::string& name) {
   static const std::set<std::string> kSet = {
       "spawn",         "schedule",       "schedule_at",
       "delay",         "fire",           "set_span_sink",
-      "set_observer",  "set_fault_model", "set_match_policy",
-      "add_region_observer", "set_region_observer"};
+      "set_observer",  "set_fault_model", "set_match_policy"};
   return kSet.count(name) != 0;
 }
 
@@ -53,12 +52,6 @@ bool assignment_op(const Token& tok) {
   return tok.is("=") || tok.is("+=") || tok.is("-=") || tok.is("*=") ||
          tok.is("/=") || tok.is("%=") || tok.is("&=") || tok.is("|=") ||
          tok.is("^=") || tok.is("<<=") || tok.is(">>=");
-}
-
-bool deprecated_global_toggle(const std::string& name) {
-  return (starts_with(name, "enable_global_") ||
-          starts_with(name, "disable_global_")) &&
-         name.size() > std::string("disable_global_").size() - 1;
 }
 
 /// A class-body span, for qualifying in-class members and recognizing
@@ -246,30 +239,6 @@ class EffectScanner {
         continue;
       }
 
-      // Scoped* RAII guard mention (declaration, optional<…>, emplace
-      // target): the guard-scoped effect, plus a call edge so the guard
-      // constructor's own writes stay visible to the closure.
-      if (starts_with(name, "Scoped") && name.size() > 6) {
-        fn.direct |= kEffGuardScoped;
-        fn.callees.insert(name);
-        continue;
-      }
-
-      // Evaluator globals lock.
-      const bool next_call = i + 1 < hi && t_[i + 1].is("(");
-      if ((name == "unique_lock" || name == "lock_guard" ||
-           name == "scoped_lock" || name == "shared_lock") &&
-          mentions_globals_mutex(i, hi)) {
-        fn.direct |= name == "shared_lock" ? kEffLockShared
-                                           : kEffLockExclusive;
-        continue;
-      }
-      if (name == "with_exclusive_globals" && next_call) {
-        fn.direct |= kEffLockExclusive;
-        fn.callees.insert(name);
-        continue;
-      }
-
       // Nondeterminism sources (shared matcher; common/rng.* is the one
       // blessed home of entropy plumbing, same as the local rule).
       if (!rng_home_) {
@@ -282,17 +251,11 @@ class EffectScanner {
         }
       }
 
-      if (!next_call) continue;
+      if (i + 1 >= hi || !t_[i + 1].is("(")) continue;
       const Token* prev = i > 0 ? &t_[i - 1] : nullptr;
       const bool decl_position = prev != nullptr &&
                                  prev->kind == TokKind::Ident &&
                                  !call_preceding_keyword(*prev);
-
-      if (deprecated_global_toggle(name) && !decl_position) {
-        fn.deprecated_calls.push_back({name, tok.line});
-        fn.callees.insert(name);
-        continue;
-      }
 
       if (world_state_call(name) && !decl_position) {
         fn.direct |= kEffWorldState;
@@ -355,14 +318,6 @@ class EffectScanner {
     return false;
   }
 
-  bool mentions_globals_mutex(std::size_t i, std::size_t hi) const {
-    for (std::size_t j = i + 1; j < hi && j < i + 24; ++j) {
-      if (t_[j].is(";")) break;
-      if (t_[j].ident("globals_mutex")) return true;
-    }
-    return false;
-  }
-
   const std::string& label_;
   const Toks& t_;
   const std::vector<LambdaSpan>& skip_;
@@ -401,9 +356,6 @@ std::vector<std::string> effect_names(unsigned mask) {
       {kEffWorldState, "touches-world-state"},
       {kEffWallClock, "wall-clock"},
       {kEffRng, "rng"},
-      {kEffGuardScoped, "guard-scoped"},
-      {kEffLockExclusive, "lock-exclusive"},
-      {kEffLockShared, "lock-shared"},
   };
   std::vector<std::string> out;
   for (const auto& [bit, name] : kNames) {
@@ -559,7 +511,6 @@ void collect_effects(const std::string& label, const LexedFile& file,
     bool bad = false;
     for (const std::string& r : rules) {
       if (r != "all" && r != "cross-rank-shared-mutable" &&
-          r != "guard-discipline" && r != "lock-discipline" &&
           r != "nondet-interprocedural") {
         index.errors.push_back(label + ":" + std::to_string(c.line) +
                                ": simlint:seam names unknown pass `" + r +

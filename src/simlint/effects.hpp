@@ -17,17 +17,12 @@
 ///                                  (spawn, schedule, fire, set_observer, …)
 ///   wall-clock / rng               a nondeterminism source (same matcher
 ///                                  as the local nondet-source rule)
-///   guard-scoped                   constructs/names a Scoped* RAII guard
-///   lock-exclusive / lock-shared   takes core::Evaluator's globals lock
-///                                  (unique/shared lock on globals_mutex,
-///                                  or with_exclusive_globals)
 ///
 /// `finalize_effects` links call sites to summaries by name (conservative:
 /// same-name overloads merge) and propagates the state effects — writes,
 /// reads, world-state, wall-clock, rng — caller-ward to a fixpoint, the
 /// same closure discipline as `finalize_index`, including co_await edges
-/// (an awaited callee is a callee). Guard/lock effects stay local facts:
-/// holding a lock is not inherited by callers.
+/// (an awaited callee is a callee).
 ///
 /// A function that is none of {writes, reads, wall-clock, rng} after
 /// closure is *rank-local-only* — safe to run on any partition thread.
@@ -53,17 +48,13 @@
 
 namespace columbia::simlint {
 
-/// Effect bits. The first five propagate through the call graph; the
-/// guard/lock bits describe the function's own body only.
+/// Effect bits; all of them propagate through the call graph.
 enum EffectBit : unsigned {
   kEffWritesGlobal = 1u << 0,
   kEffReadsGlobal = 1u << 1,
   kEffWorldState = 1u << 2,
   kEffWallClock = 1u << 3,
   kEffRng = 1u << 4,
-  kEffGuardScoped = 1u << 5,
-  kEffLockExclusive = 1u << 6,
-  kEffLockShared = 1u << 7,
 };
 
 /// The bits finalize_effects propagates caller-ward.
@@ -98,8 +89,7 @@ struct GlobalUse {
   }
 };
 
-/// A call site worth reporting on its own line (deprecated enable/disable
-/// pairs, nondet sources).
+/// A call site worth reporting on its own line (nondet sources).
 struct EffectSite {
   std::string what;
   int line = 0;
@@ -119,7 +109,6 @@ struct FunctionSummary {
   unsigned effects = 0;  ///< closed over callees (finalize_effects)
 
   std::vector<GlobalUse> global_uses;         ///< direct global touches
-  std::vector<EffectSite> deprecated_calls;   ///< enable_global_*/disable_*
   std::vector<EffectSite> nondet_sites;       ///< wall-clock/rng sources
   std::set<std::string> callees;              ///< bare names called/awaited
 

@@ -75,11 +75,6 @@ std::string witness_chain(const EffectIndex& index, const Reach& r,
   return out;
 }
 
-bool host_side_label(const std::string& file) {
-  return file.rfind("tests/", 0) == 0 || file.rfind("bench/", 0) == 0 ||
-         file.rfind("examples/", 0) == 0;
-}
-
 void pass_cross_rank(const EffectIndex& index, std::vector<Finding>& out) {
   const Reach r = reach_from_handlers(index, "cross-rank-shared-mutable");
   for (std::size_t i = 0; i < index.functions.size(); ++i) {
@@ -100,59 +95,6 @@ void pass_cross_rank(const EffectIndex& index, std::vector<Finding>& out) {
                "partitioning (ROADMAP item 2); make it rank-local, guard "
                "it, or sanction it with `simlint:seam("
                "cross-rank-shared-mutable): <why>` on the definition"});
-    }
-  }
-}
-
-void pass_guard_discipline(const EffectIndex& index,
-                           std::vector<Finding>& out) {
-  for (const FunctionSummary& fn : index.functions) {
-    if (fn.deprecated_calls.empty()) continue;
-    if (fn.seamed_for("guard-discipline")) continue;
-    // The Scoped* guards own these toggles: their members are the one
-    // sanctioned caller.
-    if (fn.qualified.rfind("Scoped", 0) == 0) continue;
-    for (const EffectSite& site : fn.deprecated_calls) {
-      out.push_back(
-          {fn.file, site.line, "guard-discipline",
-           "`" + fn.qualified + "` calls deprecated `" + site.what +
-               "` directly — raw arming leaks analyzer state when an "
-               "exception unwinds past it; construct the matching Scoped* "
-               "RAII guard instead (or sanction with `simlint:seam("
-               "guard-discipline): <why>`)"});
-    }
-  }
-}
-
-void pass_lock_discipline(const EffectIndex& index,
-                          std::vector<Finding>& out) {
-  for (const FunctionSummary& fn : index.functions) {
-    if (fn.seamed_for("lock-discipline")) continue;
-    const bool guards = (fn.direct & kEffGuardScoped) != 0;
-    const bool excl = (fn.direct & kEffLockExclusive) != 0;
-    const bool shared = (fn.direct & kEffLockShared) != 0;
-    if (guards && !excl) {
-      // Host binaries' single-threaded startup and the test/bench/example
-      // drivers arm guards without the Evaluator lock by design: nothing
-      // runs concurrently with them.
-      if (fn.name == "main" || host_side_label(fn.file)) continue;
-      out.push_back(
-          {fn.file, fn.line, "lock-discipline",
-           "`" + fn.qualified +
-               "` constructs a Scoped* global guard without holding "
-               "core::Evaluator's exclusive globals lock — a concurrent "
-               "plain evaluation on the shared side would observe the "
-               "swapped globals; route through "
-               "Evaluator::with_exclusive_globals() (or sanction with "
-               "`simlint:seam(lock-discipline): <why>`)"});
-    }
-    if (shared && !excl && (fn.effects & kEffWritesGlobal) != 0) {
-      out.push_back(
-          {fn.file, fn.line, "lock-discipline",
-           "`" + fn.qualified +
-               "` holds the shared (read) side of the globals lock but "
-               "reaches a global write — writers must take the exclusive "
-               "side"});
     }
   }
 }
@@ -205,8 +147,6 @@ std::string subsystem_of(const std::string& file) {
 std::vector<Finding> run_effect_passes(const EffectIndex& index) {
   std::vector<Finding> out;
   pass_cross_rank(index, out);
-  pass_guard_discipline(index, out);
-  pass_lock_discipline(index, out);
   pass_nondet_interprocedural(index, out);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -7,13 +7,6 @@
 ///                              static/global is reachable from a
 ///                              Task/CoTask event handler with no
 ///                              simlint:seam on the path
-///   guard-discipline           deprecated enable_global_*/disable_global_*
-///                              called outside the defining Scoped* guard
-///   lock-discipline            a Scoped* guard constructed without
-///                              core::Evaluator's exclusive globals lock
-///                              (host-binary mains and tests/bench/examples
-///                              drive single-threaded and are exempt), or a
-///                              shared-lock path that reaches a global write
 ///   nondet-interprocedural     a wall-clock/entropy source is reachable
 ///                              from a handler through the call graph
 ///

@@ -44,16 +44,8 @@ const std::vector<RuleInfo> kCatalogue = {
     // run over the closed effect summaries, not one file's tokens.
     {"cross-rank-shared-mutable",
      "mutable static/global state reachable from a Task/CoTask event "
-     "handler without a Scoped* guard or a documented seam: rank "
-     "partitioning across host threads (ROADMAP item 2) would race on it"},
-    {"guard-discipline",
-     "deprecated enable_global_*/disable_global_* called outside the "
-     "defining Scoped* RAII guard: raw arming leaks analyzer state on "
-     "exceptions and bypasses the guard's restore contract"},
-    {"lock-discipline",
-     "Scoped* global guard constructed on a path that does not hold "
-     "core::Evaluator's exclusive globals lock: concurrent plain "
-     "evaluations on the shared side would observe the mutation"},
+     "handler without a documented seam: rank partitioning across host "
+     "threads (ROADMAP item 2) would race on it"},
     {"nondet-interprocedural",
      "wall-clock/entropy source reachable from a Task/CoTask event "
      "handler through the call graph: runs must be pure functions of "
@@ -534,17 +526,17 @@ class Analyzer {
       }
       scan_method_at(i + 2);
     }
-    // RegionObserver is a std::function seam: lambdas handed to the
-    // registration calls are listener bodies too.
-    for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
-      if (!(t_[i].ident("add_region_observer") ||
-            t_[i].ident("set_region_observer")) ||
-          !t_[i + 1].is("(")) {
+    // RegionObserver is a std::function seam: lambdas appended to a
+    // RunContext's `region_observers` are listener bodies too.
+    for (std::size_t i = 0; i + 3 < t_.size(); ++i) {
+      if (!t_[i].ident("region_observers") || !t_[i + 1].is(".") ||
+          !(t_[i + 2].ident("push_back") || t_[i + 2].ident("emplace_back")) ||
+          !t_[i + 3].is("(")) {
         continue;
       }
-      const std::size_t close = match_paren(t_, i + 1);
+      const std::size_t close = match_paren(t_, i + 3);
       if (close == kNpos) continue;
-      for (std::size_t j = i + 2; j < close; ++j) {
+      for (std::size_t j = i + 4; j < close; ++j) {
         if (!t_[j].is("[")) continue;
         const LambdaShape shape = parse_lambda(t_, j);
         if (shape.body_open == kNpos) continue;
@@ -584,8 +576,7 @@ class Analyzer {
     static const std::set<std::string> kBannedCalls = {
         "spawn",          "schedule",       "schedule_at",
         "delay",          "set_span_sink",  "set_observer",
-        "set_fault_model", "fire",          "enable_global_check",
-        "enable_global_profile", "enable_global_faults",
+        "set_fault_model", "fire",
     };
     for (std::size_t j = lo; j < hi; ++j) {
       if (t_[j].kind != TokKind::Ident) continue;

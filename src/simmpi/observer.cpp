@@ -1,7 +1,5 @@
 #include "simmpi/observer.hpp"
 
-#include <utility>
-
 namespace columbia::simmpi {
 
 const char* coll_op_name(CollOp op) {
@@ -63,79 +61,6 @@ void ObserverFanout::on_rank_finished(int rank) {
 }
 void ObserverFanout::on_finalize() {
   for (auto* c : children_) c->on_finalize();
-}
-
-// ---------------------------------------------------------------------------
-// Factory registry
-// ---------------------------------------------------------------------------
-
-namespace {
-// Mutated only while no Worlds are being constructed (the documented
-// contract), so the snapshot can be read lock-free from pool threads.
-struct FactoryEntry {
-  std::uint64_t handle;
-  ObserverFactory factory;
-};
-std::vector<FactoryEntry> g_entries;
-std::vector<ObserverFactory> g_snapshot;
-std::uint64_t g_next_handle = 1;
-// Handle of the factory installed through the legacy single-slot setter.
-constexpr std::uint64_t kLegacyHandle = 0;
-
-void rebuild_snapshot() {
-  g_snapshot.clear();
-  g_snapshot.reserve(g_entries.size());
-  for (const auto& e : g_entries) g_snapshot.push_back(e.factory);
-}
-}  // namespace
-
-std::uint64_t add_world_observer_factory(ObserverFactory factory) {
-  const std::uint64_t handle = g_next_handle++;
-  g_entries.push_back({handle, std::move(factory)});
-  rebuild_snapshot();
-  return handle;
-}
-
-void remove_world_observer_factory(std::uint64_t handle) {
-  for (auto it = g_entries.begin(); it != g_entries.end(); ++it) {
-    if (it->handle == handle) {
-      g_entries.erase(it);
-      break;
-    }
-  }
-  rebuild_snapshot();
-}
-
-void set_world_observer_factory(ObserverFactory factory) {
-  remove_world_observer_factory(kLegacyHandle);
-  if (factory) g_entries.push_back({kLegacyHandle, std::move(factory)});
-  rebuild_snapshot();
-}
-
-const std::vector<ObserverFactory>& world_observer_factories() {
-  return g_snapshot;
-}
-
-namespace {
-FaultModelFactory g_fault_factory;
-}  // namespace
-
-void set_world_fault_factory(FaultModelFactory factory) {
-  g_fault_factory = std::move(factory);
-}
-
-const FaultModelFactory& world_fault_factory() { return g_fault_factory; }
-
-namespace {
-MatchPolicyFactory g_match_policy_factory;
-}  // namespace
-
-void set_world_match_policy_factory(MatchPolicyFactory factory) {
-  g_match_policy_factory = std::move(factory);
-}
-
-const MatchPolicyFactory& world_match_policy_factory() {
-  return g_match_policy_factory;
 }
 
 }  // namespace columbia::simmpi

@@ -2,28 +2,24 @@
 /// \file observer.hpp
 /// Communication-event hooks for the simulated MPI layer.
 ///
-/// A `CommObserver` attached to a `World` (World::set_observer, or globally
-/// via set_world_observer_factory) receives one callback per semantic event:
-/// operation posted / matched / completed, request lifecycle, collective
-/// entry, rank exit, and end-of-run finalize. Observers are pure listeners —
-/// they never interact with the engine, so an attached observer cannot
-/// change simulated timing or matching; reports stay byte-identical.
+/// A `CommObserver` attached to a `World` (World::set_observer, or through
+/// the observer factories of the installed sim::RunContext) receives one
+/// callback per semantic event: operation posted / matched / completed,
+/// request lifecycle, collective entry, rank exit, and end-of-run
+/// finalize. Observers are pure listeners — they never interact with the
+/// engine, so an attached observer cannot change simulated timing or
+/// matching; reports stay byte-identical.
 ///
 /// The concrete analyzers built on these hooks are `simcheck::Checker`
 /// (src/simcheck) and `simprof::Profiler` (src/simprof); this header keeps
 /// simmpi free of any dependency on them. Several observers can coexist:
-/// each analyzer registers its own factory (add_world_observer_factory),
-/// and a World constructed while several are installed fans events out to
-/// all of their products (ObserverFanout).
+/// each analyzer adds its own factory to the RunContext, and a World
+/// constructed under it fans events out to all of their products
+/// (ObserverFanout).
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
-
-namespace columbia::machine {
-class FaultModel;
-}  // namespace columbia::machine
 
 namespace columbia::simmpi {
 
@@ -113,9 +109,9 @@ class CommObserver {
 };
 
 /// Fans every callback out to a list of child observers, in registration
-/// order. A World constructed while several observer factories are
-/// installed owns one of these wrapping all of their products, so `--check`
-/// and `--profile` compose. Children are borrowed, not owned.
+/// order. A World constructed under a RunContext with several observer
+/// factories owns one of these wrapping all of their products, so
+/// `--check` and `--profile` compose. Children are borrowed, not owned.
 class ObserverFanout final : public CommObserver {
  public:
   explicit ObserverFanout(std::vector<CommObserver*> children)
@@ -140,44 +136,6 @@ class ObserverFanout final : public CommObserver {
   std::vector<CommObserver*> children_;
 };
 
-/// Process-global opt-in: while factories are installed, every subsequently
-/// constructed World creates and owns an observer from each (simcheck's
-/// global `--check` mode and simprof's `--profile` mode use this so
-/// experiment drivers need no wiring; with more than one installed the
-/// World fans events out to all products). Install/remove only while no
-/// Worlds are being constructed; each factory must be callable from
-/// several host threads at once (scenario sweeps construct Worlds on pool
-/// threads).
-using ObserverFactory = std::function<std::shared_ptr<CommObserver>(World&)>;
-
-/// Registers a factory; the returned handle removes exactly it.
-std::uint64_t add_world_observer_factory(ObserverFactory factory);
-void remove_world_observer_factory(std::uint64_t handle);
-
-/// Legacy single-slot interface: replaces the previously `set` factory
-/// (factories added via add_world_observer_factory are unaffected);
-/// nullptr clears the slot.
-void set_world_observer_factory(ObserverFactory factory);
-
-/// Snapshot of the installed factories, registration order.
-const std::vector<ObserverFactory>& world_observer_factories();
-
-/// Process-global fault-model opt-in (the `--faults` path): while a factory
-/// is installed, every subsequently constructed World asks it for a
-/// machine::FaultModel and, when the result is non-null, owns it and
-/// attaches it (World::set_fault_model). Single slot — unlike observers,
-/// two fault models cannot compose on one network. Same install/threading
-/// contract as observer factories; the concrete seed-driven factory lives
-/// in src/simfault.
-using FaultModelFactory =
-    std::function<std::shared_ptr<machine::FaultModel>(World&)>;
-
-/// Installs/replaces the factory; nullptr clears the slot.
-void set_world_fault_factory(FaultModelFactory factory);
-
-/// The installed factory (empty std::function when none).
-const FaultModelFactory& world_fault_factory();
-
 /// Decides which sender a wildcard receive takes. Unlike CommObserver this
 /// is *not* a pure listener — it changes matching — so it is reserved for
 /// the race explorer (src/simrace), which replays a scenario under the
@@ -200,20 +158,5 @@ class MatchPolicy {
   virtual ~MatchPolicy() = default;
   virtual int forced_source(int rank, int k) = 0;
 };
-
-/// Process-global match-policy opt-in: while a factory is installed, every
-/// subsequently constructed World asks it for a MatchPolicy and, when the
-/// result is non-null, owns it and attaches it (World::set_match_policy).
-/// Single slot — two policies cannot both decide one match. Same
-/// install/threading contract as the fault factory, with one extra caveat:
-/// the explorer keys schedules by World construction order, so exploration
-/// runs must use sequential execution.
-using MatchPolicyFactory = std::function<std::shared_ptr<MatchPolicy>(World&)>;
-
-/// Installs/replaces the factory; nullptr clears the slot.
-void set_world_match_policy_factory(MatchPolicyFactory factory);
-
-/// The installed factory (empty std::function when none).
-const MatchPolicyFactory& world_match_policy_factory();
 
 }  // namespace columbia::simmpi

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "sim/join.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::simmpi {
 
@@ -587,11 +588,15 @@ World::World(sim::Engine& engine, machine::Network& network,
     rank->cpu_ = placement_.cpu_of(r);
     ranks_.push_back(std::move(rank));
   }
-  // Global opt-in analysis: own one observer per installed factory (each
-  // factory attaches its product — observer slot, engine deadlock hook,
-  // engine span sink as it needs). With several products, fan events out
-  // to all of them so `--check` and `--profile` compose.
-  for (const auto& factory : world_observer_factories()) {
+  // The installed RunContext arms the World: own one observer per factory
+  // (each factory attaches its product — observer slot, engine deadlock
+  // hook, engine span sink as it needs), fanning events out to all of
+  // them so `--check` and `--profile` compose; then the single-slot fault
+  // model (`--faults`) and match policy (src/simrace). A null product
+  // leaves the run byte-identical to an unarmed one.
+  const sim::RunContext* ctx = sim::current_run_context();
+  if (ctx == nullptr) return;
+  for (const auto& factory : ctx->world_observers) {
     if (auto product = factory(*this)) {
       owned_observers_.push_back(std::move(product));
     }
@@ -605,20 +610,14 @@ World::World(sim::Engine& engine, machine::Network& network,
     fanout_ = std::make_unique<ObserverFanout>(std::move(children));
     observer_ = fanout_.get();
   }
-  // Global fault opt-in (the `--faults` path): single slot, nullable
-  // product (a zero-intensity spec builds no model, keeping the run
-  // byte-identical to a clean one).
-  if (const auto& fault_factory = world_fault_factory()) {
-    if (auto model = fault_factory(*this)) {
+  if (ctx->world_faults) {
+    if (auto model = ctx->world_faults(*this)) {
       fault_model_owned_ = std::move(model);
       set_fault_model(fault_model_owned_.get());
     }
   }
-  // Global match-policy opt-in (src/simrace's exploration path): single
-  // slot, nullable product (a factory with no forcings for this World can
-  // return null and the run stays byte-identical to a free one).
-  if (const auto& policy_factory = world_match_policy_factory()) {
-    if (auto policy = policy_factory(*this)) {
+  if (ctx->world_match_policy) {
+    if (auto policy = ctx->world_match_policy(*this)) {
       match_policy_owned_ = std::move(policy);
       set_match_policy(match_policy_owned_.get());
     }

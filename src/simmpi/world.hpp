@@ -231,9 +231,9 @@ class World {
   double run(const Program& program);
 
   /// Optional event observer (see observer.hpp). The observer must
-  /// outlive the run. A World constructed while global observer factories
-  /// are installed owns one product per factory automatically (fanning
-  /// events out to all of them when there is more than one). Per-rank
+  /// outlive the run. A World constructed under a RunContext owns one
+  /// product of each of its observer factories (fanning events out to all
+  /// of them when there is more than one). Per-rank
   /// compute/communication span tracing goes through the engine's span
   /// sink instead (sim::Engine::set_span_sink).
   void set_observer(CommObserver* observer) { observer_ = observer; }
@@ -244,9 +244,9 @@ class World {
   /// Attaches a fault model to this job: compute bursts stretch, the
   /// network degrades (forwarded to Network::set_fault_model), and message
   /// deliveries run the retry loop. The model must outlive the World;
-  /// nullptr restores clean behaviour. A World constructed while a global
-  /// fault factory is installed (observer.hpp: set_world_fault_factory)
-  /// owns its product and attaches it automatically.
+  /// nullptr restores clean behaviour. A World constructed under a
+  /// RunContext with a fault factory owns its product and attaches it
+  /// automatically.
   void set_fault_model(machine::FaultModel* model) {
     fault_model_ = model;
     network_->set_fault_model(model);
@@ -255,9 +255,9 @@ class World {
 
   /// Attaches a wildcard-match policy (see observer.hpp: MatchPolicy).
   /// The policy must outlive the run; nullptr restores arrival-order
-  /// matching. A World constructed while a global match-policy factory is
-  /// installed (set_world_match_policy_factory) owns its product and
-  /// attaches it automatically — src/simrace's exploration path.
+  /// matching. A World constructed under a RunContext with a match-policy
+  /// factory owns its product and attaches it automatically —
+  /// src/simrace's exploration path.
   void set_match_policy(MatchPolicy* policy) { match_policy_ = policy; }
   MatchPolicy* match_policy() const { return match_policy_; }
 

@@ -4,56 +4,9 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::simomp {
-
-namespace {
-// Mutated only while no sweeps are running (the documented contract), so
-// the snapshot can be read lock-free from pool threads.
-struct RegionObserverEntry {
-  std::uint64_t handle;
-  RegionObserver observer;
-};
-std::vector<RegionObserverEntry> g_region_entries;
-std::vector<RegionObserver> g_region_snapshot;
-std::uint64_t g_next_region_handle = 1;
-// Handle of the observer installed through the legacy single-slot setter.
-constexpr std::uint64_t kLegacyRegionHandle = 0;
-
-void rebuild_region_snapshot() {
-  g_region_snapshot.clear();
-  g_region_snapshot.reserve(g_region_entries.size());
-  for (const auto& e : g_region_entries) g_region_snapshot.push_back(e.observer);
-}
-}  // namespace
-
-std::uint64_t add_region_observer(RegionObserver observer) {
-  const std::uint64_t handle = g_next_region_handle++;
-  g_region_entries.push_back({handle, std::move(observer)});
-  rebuild_region_snapshot();
-  return handle;
-}
-
-void remove_region_observer(std::uint64_t handle) {
-  for (auto it = g_region_entries.begin(); it != g_region_entries.end(); ++it) {
-    if (it->handle == handle) {
-      g_region_entries.erase(it);
-      break;
-    }
-  }
-  rebuild_region_snapshot();
-}
-
-void set_region_observer(RegionObserver observer) {
-  remove_region_observer(kLegacyRegionHandle);
-  if (observer) g_region_entries.push_back({kLegacyRegionHandle,
-                                            std::move(observer)});
-  rebuild_region_snapshot();
-}
-
-const std::vector<RegionObserver>& region_observers() {
-  return g_region_snapshot;
-}
 
 OmpModel::OmpModel(const machine::NodeSpec& node,
                    perfmodel::CompilerVersion compiler)
@@ -82,7 +35,9 @@ double OmpModel::migration_penalty(int nthreads, Pinning pin) const {
 double OmpModel::region_time(const RegionSpec& region, int nthreads,
                              Pinning pin, perfmodel::KernelClass kernel,
                              int bus_sharers_override) const {
-  for (const auto& obs : region_observers()) obs(region, nthreads);
+  if (const sim::RunContext* ctx = sim::current_run_context()) {
+    for (const auto& obs : ctx->region_observers) obs(region, nthreads);
+  }
   COL_REQUIRE(nthreads >= 1, "need at least one thread");
   COL_REQUIRE(nthreads <= node().num_cpus, "team exceeds node size");
   COL_REQUIRE(region.shared_traffic_fraction >= 0.0 &&

@@ -16,10 +16,6 @@
 ///   4. data/thread placement: without pinning, threads migrate and lose
 ///      first-touch locality (Fig. 7) — hybrid codes suffer most.
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
 #include "machine/spec.hpp"
 #include "perfmodel/compute.hpp"
 #include "perfmodel/work.hpp"
@@ -45,27 +41,6 @@ struct RegionSpec {
   int compiler_width = 0;
 };
 
-/// Process-global observers called at every region_time() evaluation (before
-/// argument validation, so they also see specs the contracts reject).
-/// simcheck's `--check` mode installs a validator that flags non-finite or
-/// negative demand — values the contract checks cannot catch because NaN
-/// compares false; simprof's `--profile` mode installs a region counter.
-/// Each must be callable from several host threads at once; install/remove
-/// only while no sweeps are running.
-using RegionObserver = std::function<void(const RegionSpec&, int nthreads)>;
-
-/// Registers an observer; the returned handle removes exactly it.
-std::uint64_t add_region_observer(RegionObserver observer);
-void remove_region_observer(std::uint64_t handle);
-
-/// Legacy single-slot interface: replaces the previously `set` observer
-/// (observers added via add_region_observer are unaffected); nullptr clears
-/// the slot.
-void set_region_observer(RegionObserver observer);
-
-/// Snapshot of the installed observers, registration order.
-const std::vector<RegionObserver>& region_observers();
-
 class OmpModel {
  public:
   OmpModel(const machine::NodeSpec& node,
@@ -75,6 +50,10 @@ class OmpModel {
   const machine::NodeSpec& node() const { return model_.node(); }
 
   /// Wall time of one region executed by `nthreads` densely-placed threads.
+  /// Calls the installed RunContext's region observers first (simcheck's
+  /// `--check` validates non-finite or negative demand the contracts
+  /// cannot catch, since NaN compares false; simprof's `--profile` counts
+  /// regions).
   /// `bus_sharers_override`: CPUs actively streaming on each FSB. 0 derives
   /// it from the team size alone (a lone job on the node); pass the node's
   /// cpus_per_bus when other processes of a dense job occupy the

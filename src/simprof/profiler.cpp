@@ -1,7 +1,6 @@
 #include "simprof/profiler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <sstream>
@@ -292,23 +291,10 @@ std::vector<OpSample> Profiler::op_samples() const {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler: finalize + global (--profile) mode
+// Profiler: finalize + per-run (--profile) mode
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::mutex g_mutex;
-ProfileReport g_report;
-TraceArtifacts g_trace;
-ProfileOptions g_opts;
-std::atomic<bool> g_enabled{false};
-std::atomic<std::uint64_t> g_regions{0};
-std::uint64_t g_factory_handle = 0;
-std::uint64_t g_region_handle = 0;
-
-}  // namespace
-
-// simlint:seam(cross-rank-shared-mutable): mutex-ordered merge of this world's profile into the process-wide diagnostics sink at finalize; profiling output only, never read back into simulation state.
+// simlint:seam(cross-rank-shared-mutable): mutex-ordered merge of this world's profile into its RunContext's ProfileSink at finalize; the merge is commutative, and profiling output is never read back into simulation state.
 void Profiler::on_finalize() {
   if (finalized_) return;
   finalized_ = true;
@@ -332,7 +318,7 @@ void Profiler::on_finalize() {
   profile_.critical_path = analyze_critical_path(
       op_samples(), recorder_.spans(), profile_.nranks, t_start_, t_end);
 
-  if (!publish_globally_) return;
+  if (!sink_) return;
 
   ProfileReport local;
   local.worlds.push_back(profile_);
@@ -341,78 +327,60 @@ void Profiler::on_finalize() {
   local.stats.collectives = collectives_;
   local.stats.spans_dropped = recorder_.dropped();
   local.stats.ops_dropped = ops_dropped_;
+  sink_->publish(local, *this);
+}
 
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_report.merge(local, g_opts.max_worlds);
-  if (g_opts.retain_timeline) {
+void ProfileSink::publish(const ProfileReport& local,
+                          const Profiler& profiler) {
+  const WorldProfile& profile = profiler.profile();
+  std::lock_guard<std::mutex> lock(mu_);
+  report_.merge(local, opts_.max_worlds);
+  if (opts_.retain_timeline) {
     // Keep the largest world (by rank count, then makespan) as the
     // representative exported timeline.
     const bool better =
-        !g_trace.valid || profile_.nranks > g_trace.nranks ||
-        (profile_.nranks == g_trace.nranks &&
-         profile_.makespan > g_trace.makespan);
+        !trace_.valid || profile.nranks > trace_.nranks ||
+        (profile.nranks == trace_.nranks && profile.makespan > trace_.makespan);
     if (better) {
-      g_trace.valid = true;
-      g_trace.nranks = profile_.nranks;
-      g_trace.makespan = profile_.makespan;
-      g_trace.spans = recorder_.spans();
-      g_trace.marks = recorder_.marks();
-      g_trace.matrix = matrix_;
-      g_trace.spans_dropped = recorder_.dropped();
+      trace_.valid = true;
+      trace_.nranks = profile.nranks;
+      trace_.makespan = profile.makespan;
+      trace_.spans = profiler.recorder().spans();
+      trace_.marks = profiler.recorder().marks();
+      trace_.matrix = profiler.comm_matrix();
+      trace_.spans_dropped = profiler.recorder().dropped();
     }
   }
 }
 
-void enable_global_profile(ProfileOptions opts) {
+ProfileReport ProfileSink::take_report() {
+  ProfileReport out;
   {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_report = ProfileReport{};
-    g_trace = TraceArtifacts{};
-    g_opts = opts;
+    std::lock_guard<std::mutex> lock(mu_);
+    out = std::exchange(report_, ProfileReport{});
   }
-  g_regions.store(0, std::memory_order_relaxed);
-  g_enabled.store(true, std::memory_order_relaxed);
-  g_factory_handle = simmpi::add_world_observer_factory(
-      [opts](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
-        auto profiler = std::make_shared<Profiler>(opts);
-        profiler->set_publish_globally(true);
+  out.stats.regions += regions_.exchange(0, std::memory_order_relaxed);
+  return out;
+}
+
+TraceArtifacts ProfileSink::take_trace() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::exchange(trace_, TraceArtifacts{});
+}
+
+std::shared_ptr<ProfileSink> arm_profile(sim::RunContext& ctx,
+                                         ProfileOptions opts) {
+  auto sink = std::make_shared<ProfileSink>(opts);
+  ctx.world_observers.push_back(
+      [sink](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
+        auto profiler = std::make_shared<Profiler>(sink->options());
+        profiler->publish_to(sink);
         profiler->attach(world);
         return profiler;
       });
-  g_region_handle = simomp::add_region_observer(
-      [](const simomp::RegionSpec&, int) {
-        g_regions.fetch_add(1, std::memory_order_relaxed);
-      });
-}
-
-void disable_global_profile() {
-  g_enabled.store(false, std::memory_order_relaxed);
-  simmpi::remove_world_observer_factory(g_factory_handle);
-  simomp::remove_region_observer(g_region_handle);
-  g_factory_handle = 0;
-  g_region_handle = 0;
-}
-
-bool global_profile_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-ProfileReport drain_global_profile_report() {
-  ProfileReport out;
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    out = std::move(g_report);
-    g_report = ProfileReport{};
-  }
-  out.stats.regions += g_regions.exchange(0, std::memory_order_relaxed);
-  return out;
-}
-
-TraceArtifacts drain_global_profile_trace() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  TraceArtifacts out = std::move(g_trace);
-  g_trace = TraceArtifacts{};
-  return out;
+  ctx.region_observers.push_back(
+      [sink](const simomp::RegionSpec&, int) { sink->count_region(); });
+  return sink;
 }
 
 }  // namespace columbia::simprof

@@ -21,18 +21,22 @@
 /// Two ways to use it:
 ///   * standalone (tests): `Profiler p; p.attach(world); world.run(...);`
 ///     then inspect `p.profile()`;
-///   * globally (`--profile` on run_experiment / bench_all):
-///     `enable_global_profile()` registers an observer factory (composing
-///     with simcheck's `--check` via the factory fan-out), every
-///     subsequently constructed World owns a profiler, and
-///     `drain_global_profile_report()` / `drain_global_profile_trace()`
-///     collect the merged report and the retained representative timeline.
+///   * per run (`--profile` on run_experiment / bench_all / simserve):
+///     `arm_profile(ctx)` adds an observer factory to the sim::RunContext
+///     (composing with simcheck's `--check` via the World's fan-out), every
+///     World constructed under it owns a profiler, and the returned
+///     ProfileSink collects the merged report and the retained
+///     representative timeline.
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/run_context.hpp"
 #include "simmpi/observer.hpp"
 #include "simmpi/world.hpp"
 #include "simprof/comm_matrix.hpp"
@@ -48,7 +52,7 @@ struct ProfileOptions {
   bool retain_timeline = true;
   std::size_t max_spans = TraceRecorder::kDefaultMaxSpans;
   std::size_t max_ops = std::size_t{1} << 20;
-  /// Per-world profiles kept in the global report; beyond it only the
+  /// Per-world profiles kept in a run's merged report; beyond it only the
   /// aggregate stats accumulate (worlds_dropped counts them).
   std::size_t max_worlds = 512;
 };
@@ -109,8 +113,8 @@ struct ProfileReport {
   std::string to_json(int indent = 0) const;
 };
 
-/// The retained representative timeline of a drained profiling window
-/// (the largest world by (nranks, makespan)).
+/// The retained representative timeline of a profiled run (the largest
+/// world by (nranks, makespan)).
 struct TraceArtifacts {
   bool valid = false;
   int nranks = 0;
@@ -124,6 +128,8 @@ struct TraceArtifacts {
   std::string gantt_csv() const;
   std::string comm_csv() const { return matrix.csv(); }
 };
+
+class ProfileSink;
 
 class Profiler final : public simmpi::CommObserver {
  public:
@@ -144,9 +150,11 @@ class Profiler final : public simmpi::CommObserver {
   /// The roll-up; valid once the attached world's run drained normally.
   const WorldProfile& profile() const { return profile_; }
 
-  /// When set, the profile is appended to the process-global collector at
-  /// finalize (used by the global --profile factory).
-  void set_publish_globally(bool publish) { publish_globally_ = publish; }
+  /// When set, the profile is merged into `sink` at finalize (used by
+  /// arm_profile's factory).
+  void publish_to(std::shared_ptr<ProfileSink> sink) {
+    sink_ = std::move(sink);
+  }
 
   // --- CommObserver ------------------------------------------------------
   void on_send_posted(std::uint64_t id, int rank, int dst, int tag,
@@ -172,7 +180,7 @@ class Profiler final : public simmpi::CommObserver {
   sim::Engine* engine_ = nullptr;
   double t_start_ = 0.0;
   bool finalized_ = false;
-  bool publish_globally_ = false;
+  std::shared_ptr<ProfileSink> sink_;
   TraceRecorder recorder_;
   CommMatrix matrix_;
   std::unordered_map<std::uint64_t, OpSample> ops_;
@@ -182,45 +190,41 @@ class Profiler final : public simmpi::CommObserver {
   WorldProfile profile_;
 };
 
-// --- Global opt-in (`--profile`) --------------------------------------------
+// --- Per-run arming (`--profile`) ------------------------------------------
 
-/// Installs the World observer factory and an OpenMP region counter: every
-/// World constructed afterwards is profiled, and all results flow into one
-/// process-global report. Resets any previously drained state. Composes
-/// with simcheck's enable_global_check (both factories' products receive
-/// events through the World's observer fan-out).
-///
-/// Deprecated as a raw pair since the simserve API redesign: new code
-/// holds a ScopedGlobalProfile (or goes through core::Evaluator, which
-/// does) so no exit path can leak the factory.
-[[deprecated("hold a simprof::ScopedGlobalProfile instead")]]
-void enable_global_profile(ProfileOptions opts = {});
-[[deprecated("hold a simprof::ScopedGlobalProfile instead")]]
-void disable_global_profile();
-bool global_profile_enabled();
+/// Where the profilers of one RunContext publish. Merges are mutex-ordered
+/// and commutative, so a parallel sweep publishes the same report as a
+/// sequential one.
+class ProfileSink {
+ public:
+  explicit ProfileSink(ProfileOptions opts) : opts_(opts) {}
+  const ProfileOptions& options() const { return opts_; }
 
-/// RAII enable/disable pair for tests and tools: profiling is on for
-/// exactly the guard's scope, so an early return or a failed ASSERT
-/// cannot leak the factory into the next test. Mirrors
-/// simcheck::ScopedGlobalCheck / simfault::ScopedGlobalFaults.
-struct ScopedGlobalProfile {
-  // The one sanctioned caller of the deprecated raw pair.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  explicit ScopedGlobalProfile(ProfileOptions opts = {}) {
-    enable_global_profile(opts);
-  }
-  ~ScopedGlobalProfile() { disable_global_profile(); }
-#pragma GCC diagnostic pop
-  ScopedGlobalProfile(const ScopedGlobalProfile&) = delete;
-  ScopedGlobalProfile& operator=(const ScopedGlobalProfile&) = delete;
+  /// Merges one finalized profiler's report (its world plus stats) and,
+  /// when timelines are retained and it is the largest world so far,
+  /// keeps its timeline.
+  void publish(const ProfileReport& local, const Profiler& profiler);
+  /// One OpenMP region evaluation observed (ProfileStats::regions).
+  void count_region() { regions_.fetch_add(1, std::memory_order_relaxed); }
+
+  /// Moves the merged report out and resets it.
+  ProfileReport take_report();
+  /// Moves the retained timeline out and resets it. `valid` is false when
+  /// no world finished since the last take or retain_timeline is off.
+  TraceArtifacts take_trace();
+
+ private:
+  const ProfileOptions opts_;
+  std::mutex mu_;
+  ProfileReport report_;
+  TraceArtifacts trace_;
+  std::atomic<std::uint64_t> regions_{0};
 };
 
-/// Moves the accumulated global report out (and clears it).
-ProfileReport drain_global_profile_report();
-/// Moves the retained representative timeline out (and clears it).
-/// `valid` is false when no world finished since the last drain or
-/// retain_timeline was off.
-TraceArtifacts drain_global_profile_trace();
+/// Arms `ctx` for `--profile`: every World constructed under it owns a
+/// Profiler, every OpenMP region evaluated under it is counted, and all
+/// results merge into the returned sink.
+std::shared_ptr<ProfileSink> arm_profile(sim::RunContext& ctx,
+                                         ProfileOptions opts = {});
 
 }  // namespace columbia::simprof

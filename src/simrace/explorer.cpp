@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 #include "simmpi/observer.hpp"
 #include "simmpi/world.hpp"
 
@@ -65,47 +66,35 @@ class WorldPolicy final : public simmpi::MatchPolicy {
   int world_;
 };
 
-/// Installs the match-policy factory for one scenario invocation and
-/// guarantees removal even when the scenario throws (DeadlockError is an
-/// expected exit for infeasible schedules).
-struct ScopedMatchPolicyFactory {
-  explicit ScopedMatchPolicyFactory(const ForcingSchedule& schedule) {
-    auto run = std::make_shared<ForcedRun>();
-    run->schedule = schedule;
-    simmpi::set_world_match_policy_factory(
-        [run](simmpi::World&) -> std::shared_ptr<simmpi::MatchPolicy> {
-          const int world = run->next_world++;
-          // Worlds the schedule never touches get no policy at all, so
-          // they run the unmodified (and bookkeeping-free) match path.
-          if (!run->schedule.touches_world(world)) return nullptr;
-          return std::make_shared<WorldPolicy>(run, world);
-        });
-  }
-  ~ScopedMatchPolicyFactory() {
-    simmpi::set_world_match_policy_factory(nullptr);
-  }
-  ScopedMatchPolicyFactory(const ScopedMatchPolicyFactory&) = delete;
-  ScopedMatchPolicyFactory& operator=(const ScopedMatchPolicyFactory&) =
-      delete;
-};
-
 }  // namespace
 
-// simlint:seam(lock-discipline): the explorer replays scenarios one at a time on a single thread and owns the process's simulation globals for each scenario's duration; there is no concurrent evaluator to race with.
 RunOutcome run_under(const RaceScenario& scenario,
-                     const ForcingSchedule& schedule) {
+                     const ForcingSchedule& schedule,
+                     machine::TransportModel transport) {
+  sim::RunContext ctx;
+  ctx.transport = transport;
+  auto run = std::make_shared<ForcedRun>();
+  run->schedule = schedule;
+  ctx.world_match_policy =
+      [run](simmpi::World&) -> std::shared_ptr<simmpi::MatchPolicy> {
+    const int world = run->next_world++;
+    // Worlds the schedule never touches get no policy at all, so they run
+    // the unmodified (and bookkeeping-free) match path.
+    if (!run->schedule.touches_world(world)) return nullptr;
+    return std::make_shared<WorldPolicy>(run, world);
+  };
+  const auto check = simcheck::arm_check(ctx);
   RunOutcome out;
   {
-    ScopedMatchPolicyFactory forced(schedule);
-    simcheck::ScopedGlobalCheck check;
+    const sim::RunScope scope(ctx);
     try {
       out.bytes = scenario();
     } catch (const sim::DeadlockError&) {
       out.deadlocked = true;
     }
-    out.check = simcheck::drain_global_check_report();
-    out.decisions = simcheck::drain_global_race_decisions();
   }
+  out.check = check->take_report();
+  out.decisions = check->take_race_decisions();
   out.fingerprint = fingerprint_of(out.bytes, out.check);
   return out;
 }
@@ -132,7 +121,7 @@ ExploreResult explore(const RaceScenario& scenario,
       continue;
     }
 
-    const RunOutcome out = run_under(scenario, sched);
+    const RunOutcome out = run_under(scenario, sched, opts.transport);
     ++result.explored;
 
     if (!have_baseline) {

@@ -28,6 +28,10 @@
 /// the walk is best-effort rather than exhaustive (a forced prefix may
 /// shift indices past the branch), which the report does not hide.
 ///
+/// Every execution runs under its own sim::RunContext — the run's
+/// transport, the schedule's match policy and a simcheck sink for
+/// candidate discovery — so explorations may overlap other runs.
+///
 /// Requirements on the scenario callable: it must construct its Worlds
 /// fresh on every invocation and run them *sequentially* — schedule keys
 /// include a World construction serial, which only sequential execution
@@ -38,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "machine/transport.hpp"
 #include "simcheck/checker.hpp"
 #include "simrace/schedule.hpp"
 
@@ -60,13 +65,14 @@ struct RunOutcome {
   std::uint64_t fingerprint = 0;
 };
 
-/// Executes the scenario once under `schedule` with candidate discovery
-/// attached (global check + match-policy factory installed for the call,
-/// restored after). This is also `simrace --replay`'s engine: byte-equal
-/// `bytes` across calls with the same schedule is the determinism
-/// contract extended to forced runs.
-RunOutcome run_under(const RaceScenario& scenario,
-                     const ForcingSchedule& schedule);
+/// Executes the scenario once under `schedule` on `transport`, with
+/// candidate discovery attached (a RunContext armed with simcheck and the
+/// schedule's match policy, installed for the call). This is also
+/// `simrace --replay`'s engine: byte-equal `bytes` across calls with the
+/// same schedule is the determinism contract extended to forced runs.
+RunOutcome run_under(
+    const RaceScenario& scenario, const ForcingSchedule& schedule,
+    machine::TransportModel transport = machine::TransportModel::Event);
 
 struct Divergence {
   ForcingSchedule schedule;
@@ -75,6 +81,8 @@ struct Divergence {
 
 struct ExploreOptions {
   int max_execs = 64;  ///< bound on executions (baseline included)
+  /// Network backend every execution runs on (--transport).
+  machine::TransportModel transport = machine::TransportModel::Event;
 };
 
 struct ExploreResult {

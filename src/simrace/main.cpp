@@ -132,14 +132,15 @@ int main(int argc, char** argv) {
   core::RunOptions opts;
   if (!parser.parse(argc, argv, opts)) return 2;
   if (opts.help) return 0;
+  simrace::ExploreOptions eopts;
+  eopts.max_execs = opts.spec.max_execs;
   {
-    machine::TransportModel tm;
     std::string terr;
-    if (!machine::parse_transport(opts.spec.transport, tm, terr)) {
+    if (!machine::parse_transport(opts.spec.transport, eopts.transport,
+                                  terr)) {
       std::fprintf(stderr, "simrace: %s\n", terr.c_str());
       return 2;
     }
-    machine::set_global_transport(tm);
   }
 
   if (opts.list) {
@@ -206,7 +207,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const auto out = simrace::run_under(scenario_of(selected.front()),
-                                        schedule);
+                                        schedule, eopts.transport);
     // stdout is the replay contract: byte-identical across invocations.
     std::fputs(out.bytes.c_str(), stdout);
     std::printf("simrace: replay %s under %s: fingerprint %016llx%s\n",
@@ -243,8 +244,6 @@ int main(int argc, char** argv) {
   }
 
   bool any_race = false;
-  simrace::ExploreOptions eopts;
-  eopts.max_execs = opts.spec.max_execs;
   for (const auto* exp : selected) {
     const auto result = simrace::explore(scenario_of(exp), eopts);
     std::fputs(result.render(exp->id).c_str(), stdout);

@@ -4,6 +4,7 @@
 
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
+#include "machine/transport.hpp"
 #include "simrace/explorer.hpp"
 
 namespace columbia::simserve {
@@ -25,21 +26,19 @@ EvalFn registry_eval() {
     if (!out.ok || !spec.race_explore) return out;
 
     // race_explore rides in the spec hash but core cannot run it (simrace
-    // sits above core); this is the layer that can. Exploration replays
-    // the experiment with forced wildcard matchings — process-global
-    // seams again, hence the Evaluator's exclusive lock.
+    // sits above core); this is the layer that can. Each explored
+    // execution runs under its own RunContext, so exploration overlaps
+    // other evaluations freely.
     const auto* exp = core::find_experiment(spec.experiment);
-    core::Evaluator::with_exclusive_globals([&] {
-      simrace::ExploreOptions ropts;
-      ropts.max_execs = spec.max_execs;
-      const auto result = simrace::explore(
-          [exp] {
-            return exp->run_exec(core::Exec::sequential()).render();
-          },
-          ropts);
-      out.races = static_cast<int>(result.divergences.size());
-      out.race_summary = result.render(spec.experiment);
-    });
+    simrace::ExploreOptions ropts;
+    ropts.max_execs = spec.max_execs;
+    std::string unused;  // evaluate() has already rejected a bad transport
+    (void)machine::parse_transport(spec.transport, ropts.transport, unused);
+    const auto result = simrace::explore(
+        [exp] { return exp->run_exec(core::Exec::sequential()).render(); },
+        ropts);
+    out.races = static_cast<int>(result.divergences.size());
+    out.race_summary = result.render(spec.experiment);
     return out;
   };
 }

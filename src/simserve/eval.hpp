@@ -14,12 +14,11 @@
 
 namespace columbia::simserve {
 
-/// An EvalFn over the experiment registry. Plain specs run through
-/// core::Evaluator (concurrently when nothing global is armed);
-/// race_explore specs additionally run the simrace wildcard-ordering
-/// exploration under Evaluator::with_exclusive_globals — the exploration
-/// installs process-global match-policy and check factories, which the
-/// Evaluator's lock is exactly the guard for.
+/// An EvalFn over the experiment registry. Every spec runs through
+/// core::Evaluator; race_explore specs additionally run the simrace
+/// wildcard-ordering exploration on the spec's transport. Neither takes a
+/// lock: each run arms its own sim::RunContext, so any mix of specs
+/// evaluates concurrently.
 EvalFn registry_eval();
 
 /// Registry experiment ids, for the protocol's "list" op.

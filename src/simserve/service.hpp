@@ -69,7 +69,7 @@ std::size_t outcome_bytes(const EvalOutcome& outcome);
 /// The injected evaluator: spec in, outcome out. Must be pure in the
 /// spec (same spec → same outcome bytes) for caching and coalescing to
 /// be sound, and safe to invoke from multiple pool threads at once
-/// (core::Evaluator serializes its own global seams internally).
+/// (core::Evaluator is: each evaluation arms its own RunContext).
 using EvalFn = std::function<EvalOutcome(const core::ScenarioSpec&)>;
 
 /// One completed request: the outcome plus how the service satisfied it.

@@ -21,43 +21,66 @@
 
 #include "core/experiment.hpp"
 #include "machine/transport.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
+#include "simfault/schedule.hpp"
 #include "simprof/profiler.hpp"
 
 namespace columbia {
 namespace {
 
-/// One full registry sweep with check + profile + faults enabled,
-/// concatenating every emitted artifact into a single golden string.
-std::string golden_pass() {
-  std::ostringstream os;
-  const auto exec = core::Exec::sequential();
-  simfault::ScopedGlobalFaults faults(simfault::FaultSpec::uniform(42, 0.25));
-  for (const auto& exp : core::experiment_registry()) {
-    os << "==== " << exp.id << " ====\n";
-    // Per-experiment guards: enable registers a fresh observer factory
-    // each call — without the paired disable at scope exit, every World
-    // would grow one checker per experiment.
-    simcheck::ScopedGlobalCheck check_on;
-    simprof::ScopedGlobalProfile profile_on;
-    try {
-      os << exp.run_exec(exec).render();
-    } catch (const std::exception& e) {
-      os << "exception: " << e.what() << "\n";
-    } catch (...) {
-      os << "exception: (non-standard)\n";
-    }
-    const simprof::ProfileReport prof = simprof::drain_global_profile_report();
-    const simprof::TraceArtifacts trace = simprof::drain_global_profile_trace();
-    const simcheck::CheckReport check = simcheck::drain_global_check_report();
+/// Everything a check + profile + faults run of one experiment emitted.
+struct Armed {
+  std::string report;  ///< rendered report, or the exception it threw
+  std::string artifacts;  ///< check/profile text + JSON, timeline exports
+  simfault::FaultStats faults;
+};
 
-    os << check.render() << check.to_json() << prof.render() << prof.to_json();
-    if (trace.valid) {
-      os << trace.chrome_json() << trace.gantt_csv() << trace.comm_csv();
+/// Runs `exp` under a fresh RunContext on `transport` with check, profile
+/// and faults (42:0.25) armed, folding a deterministic failure into the
+/// report string rather than aborting.
+Armed run_armed(const core::Experiment& exp, const core::Exec& exec,
+                machine::TransportModel transport) {
+  sim::RunContext ctx;
+  ctx.transport = transport;
+  const auto check = simcheck::arm_check(ctx);
+  const auto profile = simprof::arm_profile(ctx);
+  const auto faults =
+      simfault::arm_faults(ctx, simfault::FaultSpec::uniform(42, 0.25));
+  Armed out;
+  {
+    const sim::RunScope scope(ctx);
+    try {
+      out.report = exp.run_exec(exec).render();
+    } catch (const std::exception& e) {
+      out.report = std::string("exception: ") + e.what() + "\n";
+    } catch (...) {
+      out.report = "exception: (non-standard)\n";
     }
   }
-  const simfault::FaultStats stats = simfault::drain_global_fault_stats();
+  const simprof::ProfileReport prof = profile->take_report();
+  const simprof::TraceArtifacts trace = profile->take_trace();
+  const simcheck::CheckReport chk = check->take_report();
+  out.artifacts = chk.render() + chk.to_json() + prof.render() + prof.to_json();
+  if (trace.valid) {
+    out.artifacts += trace.chrome_json() + trace.gantt_csv() + trace.comm_csv();
+  }
+  out.faults = faults->take();
+  return out;
+}
+
+/// One full registry sweep with check + profile + faults enabled,
+/// concatenating every emitted artifact into a single golden string.
+std::string golden_pass(
+    machine::TransportModel transport = machine::TransportModel::Event) {
+  std::ostringstream os;
+  simfault::FaultStats stats;
+  for (const auto& exp : core::experiment_registry()) {
+    os << "==== " << exp.id << " ====\n";
+    const Armed run = run_armed(exp, core::Exec::sequential(), transport);
+    os << run.report << run.artifacts;
+    stats.merge(run.faults);
+  }
   os << "faults: worlds=" << stats.worlds
      << " dropped=" << stats.messages_dropped << " retries=" << stats.retries
      << " lost=" << stats.messages_lost << "\n";
@@ -89,35 +112,34 @@ TEST(GoldenDeterminism, RegistryWithCheckProfileFaultsIsByteIdentical) {
 
 TEST(GoldenDeterminism, IoExperimentsSeqVsParallelAreByteIdentical) {
   // The storage experiments tear filesystems down on pool threads (the
-  // global I/O stats publish path) and the NFS scenarios drive Network
-  // transfers from scenario closures — exactly the places where a
+  // RunContext's sinks publish from there) and the NFS scenarios drive
+  // Network transfers from scenario closures — exactly the places where a
   // parallel sweep could diverge from the sequential baseline. Each also
-  // regenerates under check + profile + faults like the full gate.
-  simfault::ScopedGlobalFaults faults(simfault::FaultSpec::uniform(42, 0.25));
+  // regenerates under check + profile + faults like the full gate, its
+  // context carried onto the pool workers.
   for (const std::string id :
        {"ext-io", "ext-checkpoint", "ext-btio", "ext-io-overlap"}) {
     const auto* exp = core::find_experiment(id);
     ASSERT_NE(exp, nullptr) << id;
-    simcheck::ScopedGlobalCheck check_on;
-    simprof::ScopedGlobalProfile profile_on;
-    const std::string seq = exp->run_exec(core::Exec::sequential()).render();
-    const std::string par = exp->run_exec(core::Exec::parallel()).render();
-    // Drain so the per-experiment collectors cannot leak across ids.
-    (void)simprof::drain_global_profile_report();
-    (void)simprof::drain_global_profile_trace();
-    (void)simcheck::drain_global_check_report();
-    EXPECT_TRUE(seq == par) << id << "\n" << first_divergence(seq, par);
+    const Armed seq = run_armed(*exp, core::Exec::sequential(),
+                                machine::TransportModel::Event);
+    const Armed par = run_armed(*exp, core::Exec::parallel(),
+                                machine::TransportModel::Event);
+    EXPECT_TRUE(seq.report == par.report)
+        << id << "\n" << first_divergence(seq.report, par.report);
+    EXPECT_EQ(seq.faults.worlds, par.faults.worlds) << id;
+    EXPECT_EQ(seq.faults.messages_dropped, par.faults.messages_dropped) << id;
+    EXPECT_EQ(seq.faults.retries, par.faults.retries) << id;
+    EXPECT_EQ(seq.faults.messages_lost, par.faults.messages_lost) << id;
   }
-  (void)simfault::drain_global_fault_stats();
 }
 
 TEST(GoldenDeterminism, RegistryUnderFlowTransportIsByteIdentical) {
-  // The same contract with the fluid network backend selected process-wide
-  // (what `--transport flow` does): every experiment, still under
-  // check + profile + faults, must regenerate byte-identically.
-  machine::ScopedTransport pin(machine::TransportModel::Flow);
-  const std::string pass1 = golden_pass();
-  const std::string pass2 = golden_pass();
+  // The same contract with the fluid network backend selected for the
+  // whole run (what `--transport flow` does): every experiment, still
+  // under check + profile + faults, must regenerate byte-identically.
+  const std::string pass1 = golden_pass(machine::TransportModel::Flow);
+  const std::string pass2 = golden_pass(machine::TransportModel::Flow);
   ASSERT_FALSE(pass1.empty());
   EXPECT_TRUE(pass1 == pass2) << first_divergence(pass1, pass2);
 }

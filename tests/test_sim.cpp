@@ -15,6 +15,7 @@
 #include "sim/barrier.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/run_context.hpp"
 #include "sim/task.hpp"
 #include "sim/trace.hpp"
 #include "sim/trigger.hpp"
@@ -512,6 +513,50 @@ TEST(Engine, EventAccountingTracksRuns) {
   EXPECT_GE(eng.events_per_second(), 0.0);
   // The process-wide counter accumulates every engine's events.
   EXPECT_GE(total_events_processed() - global_before, eng.events_processed());
+}
+
+TEST(RunContext, EngineRunCountsIntoTheInstalledContextOnly) {
+  RunContext outer;
+  RunContext inner;
+  std::vector<double> log;
+  Engine a;
+  a.spawn(delayer(a, log, 1.0));
+  Engine b;
+  b.spawn(delayer(b, log, 1.0));
+  b.spawn(delayer(b, log, 2.0));
+  {
+    const RunScope outer_scope(outer);
+    a.run();
+    {
+      const RunScope inner_scope(inner);
+      b.run();
+    }
+  }
+  EXPECT_EQ(outer.events.load(), a.events_processed());
+  EXPECT_EQ(inner.events.load(), b.events_processed());
+}
+
+TEST(RunContext, ScopeRestoresThePreviousContextOnEveryExitPath) {
+  EXPECT_EQ(current_run_context(), nullptr);
+  RunContext outer;
+  RunContext inner;
+  {
+    const RunScope outer_scope(outer);
+    EXPECT_EQ(current_run_context(), &outer);
+    try {
+      const RunScope inner_scope(inner);
+      EXPECT_EQ(current_run_context(), &inner);
+      throw std::runtime_error("unwind");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(current_run_context(), &outer);
+    {
+      const RunScope none(nullptr);
+      EXPECT_EQ(current_run_context(), nullptr);
+    }
+    EXPECT_EQ(current_run_context(), &outer);
+  }
+  EXPECT_EQ(current_run_context(), nullptr);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/experiment.hpp"
 #include "machine/network.hpp"
 #include "machine/placement.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
 #include "simmpi/world.hpp"
 #include "simomp/omp_model.hpp"
@@ -279,8 +280,10 @@ TEST(Region, NonFiniteAndNegativeDemandFlagged) {
   EXPECT_TRUE(out2.clean());
 }
 
-TEST(Region, GlobalCheckSeesRegionEvaluations) {
-  const ScopedGlobalCheck check_on;
+TEST(Region, ArmedContextSeesRegionEvaluations) {
+  sim::RunContext ctx;
+  const auto sink = arm_check(ctx);
+  const sim::RunScope scope(ctx);
   simomp::OmpModel model(machine::NodeSpec::bx2b());
   simomp::RegionSpec bad;
   bad.total.flops = std::nan("");
@@ -291,7 +294,7 @@ TEST(Region, GlobalCheckSeesRegionEvaluations) {
       (void)model.region_time(bad, 4, simomp::Pinning::Pinned,
                               perfmodel::KernelClass::StreamCopy),
       ContractError);
-  CheckReport rep = drain_global_check_report();
+  CheckReport rep = sink->take_report();
   EXPECT_GE(rep.stats.regions, 1u);
   EXPECT_EQ(rep.count(DiagKind::InvalidRegion), 1u) << rep.render();
 }
@@ -374,10 +377,14 @@ TEST(Registry, AllExperimentsCheckCleanWithByteIdenticalReports) {
   for (const auto& exp : core::experiment_registry()) {
     const std::string plain = exp.run_exec(exec).render();
 
-    // Scoped so a failed EXPECT cannot leak the factory into later tests.
-    const ScopedGlobalCheck check_on;
-    const std::string checked = exp.run_exec(exec).render();
-    CheckReport rep = drain_global_check_report();
+    sim::RunContext ctx;
+    const auto sink = arm_check(ctx);
+    std::string checked;
+    {
+      const sim::RunScope scope(ctx);
+      checked = exp.run_exec(exec).render();
+    }
+    CheckReport rep = sink->take_report();
 
     EXPECT_TRUE(rep.clean()) << exp.id << ":\n" << rep.render();
     EXPECT_EQ(plain, checked) << exp.id << ": checked run altered output";

@@ -19,8 +19,8 @@
 #include "machine/network.hpp"
 #include "machine/placement.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
 #include "simfault/schedule.hpp"
 #include "simmpi/world.hpp"
 #include "simprof/recorder.hpp"
@@ -262,29 +262,30 @@ TEST(FaultNetwork, DegradedLinkSlowsCrossNodeTransfer) {
   EXPECT_GT(faulted, clean * 1.5);
 }
 
-TEST(FaultNetwork, ZeroIntensityGlobalFactoryAttachesNothing) {
-  const simfault::ScopedGlobalFaults faults(simfault::FaultSpec::uniform(0, 0.0));
-  {
-    sim::Engine engine;
-    auto cluster = Cluster::single(NodeType::AltixBX2b);
-    machine::Network network(engine, cluster);
-    simmpi::World world(engine, network, Placement::dense(cluster, 2));
-    EXPECT_EQ(world.fault_model(), nullptr);
-  }
-  (void)simfault::drain_global_fault_stats();
+TEST(FaultNetwork, ZeroIntensityArmingAttachesNothing) {
+  sim::RunContext ctx;
+  (void)simfault::arm_faults(ctx, simfault::FaultSpec::uniform(0, 0.0));
+  const sim::RunScope scope(ctx);
+  sim::Engine engine;
+  auto cluster = Cluster::single(NodeType::AltixBX2b);
+  machine::Network network(engine, cluster);
+  simmpi::World world(engine, network, Placement::dense(cluster, 2));
+  EXPECT_EQ(world.fault_model(), nullptr);
 }
 
-TEST(FaultNetwork, GlobalFactoryAttachesAndPublishesStats) {
-  const simfault::ScopedGlobalFaults faults(
-      simfault::FaultSpec::uniform(11, 0.5));
+TEST(FaultNetwork, ArmedContextAttachesAndPublishesStats) {
+  sim::RunContext ctx;
+  const auto sink =
+      simfault::arm_faults(ctx, simfault::FaultSpec::uniform(11, 0.5));
   {
+    const sim::RunScope scope(ctx);
     sim::Engine engine;
     auto cluster = Cluster::single(NodeType::AltixBX2b);
     machine::Network network(engine, cluster);
     simmpi::World world(engine, network, Placement::dense(cluster, 2));
     EXPECT_NE(world.fault_model(), nullptr);
   }
-  const auto stats = simfault::drain_global_fault_stats();
+  const auto stats = sink->take();
   EXPECT_EQ(stats.worlds, 1u);
 }
 
@@ -539,12 +540,12 @@ TEST(FaultRegistry, DegradedFabricCurveIsMonotone) {
 TEST(FaultRegistry, FaultedRunsAreSeedDeterministic) {
   const auto* exp = core::find_experiment("ablation-variability");
   ASSERT_NE(exp, nullptr);
-  const simfault::ScopedGlobalFaults faults(
-      simfault::FaultSpec::uniform(9, 0.4));
+  sim::RunContext ctx;
+  (void)simfault::arm_faults(ctx, simfault::FaultSpec::uniform(9, 0.4));
+  const sim::RunScope scope(ctx);
   const auto seq1 = exp->run_exec(core::Exec::sequential()).render();
   const auto seq2 = exp->run_exec(core::Exec::sequential()).render();
   const auto par = exp->run_exec(core::Exec::parallel(2)).render();
-  (void)simfault::drain_global_fault_stats();
   EXPECT_EQ(seq1, seq2);
   EXPECT_EQ(seq1, par);
 }
@@ -552,14 +553,12 @@ TEST(FaultRegistry, FaultedRunsAreSeedDeterministic) {
 TEST(FaultRegistry, ZeroIntensityIsByteIdenticalToCleanEverywhere) {
   for (const auto& exp : core::experiment_registry()) {
     const auto clean = exp.run_exec(core::Exec::sequential()).render();
-    {
-      const simfault::ScopedGlobalFaults faults(
-          simfault::FaultSpec::uniform(0, 0.0));
-      const auto faulted = exp.run_exec(core::Exec::sequential()).render();
-      EXPECT_EQ(clean, faulted) << exp.id;
-    }
+    sim::RunContext ctx;
+    (void)simfault::arm_faults(ctx, simfault::FaultSpec::uniform(0, 0.0));
+    const sim::RunScope scope(ctx);
+    const auto faulted = exp.run_exec(core::Exec::sequential()).render();
+    EXPECT_EQ(clean, faulted) << exp.id;
   }
-  (void)simfault::drain_global_fault_stats();
 }
 
 #endif  // COLUMBIA_SIMFAULT_NO_REGISTRY

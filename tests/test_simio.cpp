@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "machine/io_model.hpp"
@@ -20,7 +21,6 @@
 #include "simfault/schedule.hpp"
 #include "simio/disk.hpp"
 #include "simio/filesystem.hpp"
-#include "simio/global.hpp"
 #include "simio/workload.hpp"
 #include "simmpi/world.hpp"
 
@@ -433,16 +433,17 @@ TEST(RankIo, NfsChunksRideTheFabric) {
 }
 
 // ---------------------------------------------------------------------------
-// Global stats collector
+// Per-run stats sink
 
-TEST(GlobalStats, CollectsAcrossFilesystemLifetimes) {
-  drain_global_io_stats();  // isolate from any earlier armed state
+TEST(ContextStats, CollectsAcrossFilesystemLifetimes) {
+  sim::RunContext ctx;
+  ctx.io_stats = std::make_shared<sim::Sink<IoStats>>();
   {
-    ScopedGlobalIoStats scope;
-    EXPECT_TRUE(global_io_stats_enabled());
+    const sim::RunScope scope(ctx);
+    EXPECT_EQ(sim::current_run_context(), &ctx);
     (void)simulated_write_time(FilesystemSpec::shared_parallel(), 4, 1e7);
     (void)simulated_read_time(FilesystemSpec::nfs_over_gige(), 2, 1e6);
-    const IoStats stats = drain_global_io_stats();
+    const IoStats stats = ctx.io_stats->take();
     EXPECT_EQ(stats.filesystems, 2u);
     EXPECT_EQ(stats.opens, 6u);
     EXPECT_EQ(stats.writes, 4u);
@@ -451,10 +452,10 @@ TEST(GlobalStats, CollectsAcrossFilesystemLifetimes) {
     EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_written), 4e7);
     EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_read), 2e6);
   }
-  EXPECT_FALSE(global_io_stats_enabled());
-  // Disarmed: new filesystems no longer publish.
+  EXPECT_EQ(sim::current_run_context(), nullptr);
+  // Out of scope: new filesystems no longer publish.
   (void)simulated_write_time(FilesystemSpec::shared_parallel(), 1, 1e6);
-  const IoStats after = drain_global_io_stats();
+  const IoStats after = ctx.io_stats->take();
   EXPECT_EQ(after.filesystems, 0u);
 }
 

@@ -70,8 +70,6 @@ constexpr const char* kRuleFixtures[] = {
     "impure_listener",
     "wildcard_order_sensitive",
     "cross_rank_shared_mutable",
-    "guard_discipline",
-    "lock_discipline",
     "nondet_interprocedural",
 };
 
@@ -116,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(AllRules, RuleFixture,
                          });
 
 TEST(Catalogue, EveryRuleIsKnownAndHasBothFixtures) {
-  EXPECT_EQ(rule_catalogue().size(), 13u);
+  EXPECT_EQ(rule_catalogue().size(), 11u);
   for (const RuleInfo& rule : rule_catalogue()) {
     EXPECT_TRUE(known_rule(rule.id));
     EXPECT_FALSE(rule.summary.empty()) << rule.id;

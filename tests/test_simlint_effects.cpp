@@ -1,5 +1,5 @@
 // The effect-analysis suite: the function-summary IR (scanner + fixpoint)
-// on synthetic sources, the four interprocedural passes over their
+// on synthetic sources, the two interprocedural passes over their
 // fixtures with exact line assertions, golden effect sets for known
 // functions of the real tree (SIMLINT_SOURCE_ROOT), seam validation, the
 // suppression-rationale contract, the SARIF envelope, and the
@@ -117,27 +117,6 @@ TEST(Scanner, CoroutineLambdaIsCarvedOutOfItsEnclosingFunction) {
   EXPECT_TRUE(lambda->direct & kEffWritesGlobal);
 }
 
-TEST(Scanner, LockAndGuardBitsAreLocalFacts) {
-  const EffectIndex index = index_source(
-      "void locked() {\n"
-      "  std::unique_lock lk(core::Evaluator::globals_mutex());\n"
-      "}\n"
-      "void outer() { locked(); }\n"
-      "void guarded() { simcheck::ScopedGlobalCheck check; }\n");
-  const FunctionSummary* locked = find_function(index, "locked");
-  ASSERT_NE(locked, nullptr);
-  EXPECT_TRUE(locked->direct & kEffLockExclusive);
-
-  const FunctionSummary* outer = find_function(index, "outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_FALSE(outer->effects & kEffLockExclusive)
-      << "holding a lock must not be inherited by callers";
-
-  const FunctionSummary* guarded = find_function(index, "guarded");
-  ASSERT_NE(guarded, nullptr);
-  EXPECT_TRUE(guarded->direct & kEffGuardScoped);
-}
-
 // --- Fixpoint + passes on a synthetic chain --------------------------------
 
 TEST(Fixpoint, StateEffectsCloseCallerWardAndTheWitnessNamesTheHops) {
@@ -192,14 +171,15 @@ TEST(Seams, UnknownPassEmptyRationaleAndUnattachedAreErrors) {
             std::string::npos);
 
   const EffectIndex bare = index_source(
-      "// simlint:seam(lock-discipline):\n"
+      "// simlint:seam(cross-rank-shared-mutable):\n"
       "void f() {}\n");
   ASSERT_EQ(bare.errors.size(), 1u);
   EXPECT_NE(bare.errors[0].find("needs a rationale"), std::string::npos);
 
   const EffectIndex floating = index_source(
       "int x = 0;\n"
-      "// simlint:seam(lock-discipline): floats over a declaration\n"
+      "// simlint:seam(cross-rank-shared-mutable): floats over a "
+      "declaration\n"
       "int y = 0;\n");
   ASSERT_EQ(floating.errors.size(), 1u);
   EXPECT_NE(floating.errors[0].find("attaches to no function"),
@@ -244,30 +224,6 @@ TEST(PassFixtures, CrossRankAnchorsAtTheMutationSite) {
   EXPECT_TRUE(neg.findings.empty()) << render_human(neg);
 }
 
-TEST(PassFixtures, GuardDisciplineFlagsEachRawToggle) {
-  const RunResult pos = lint_fixture("guard_discipline_pos.cpp");
-  EXPECT_TRUE(pos.errors.empty()) << render_human(pos);
-  const std::set<std::pair<int, std::string>> expected = {
-      {10, "guard-discipline"}, {12, "guard-discipline"}};
-  EXPECT_EQ(finding_set(pos), expected) << render_human(pos);
-
-  const RunResult neg = lint_fixture("guard_discipline_neg.cpp");
-  EXPECT_TRUE(neg.errors.empty()) << render_human(neg);
-  EXPECT_TRUE(neg.findings.empty()) << render_human(neg);
-}
-
-TEST(PassFixtures, LockDisciplineFlagsBothHalves) {
-  const RunResult pos = lint_fixture("lock_discipline_pos.cpp");
-  EXPECT_TRUE(pos.errors.empty()) << render_human(pos);
-  const std::set<std::pair<int, std::string>> expected = {
-      {11, "lock-discipline"}, {18, "lock-discipline"}};
-  EXPECT_EQ(finding_set(pos), expected) << render_human(pos);
-
-  const RunResult neg = lint_fixture("lock_discipline_neg.cpp");
-  EXPECT_TRUE(neg.errors.empty()) << render_human(neg);
-  EXPECT_TRUE(neg.findings.empty()) << render_human(neg);
-}
-
 TEST(PassFixtures, NondetInterproceduralOutlivesALocalSuppression) {
   const RunResult pos = lint_fixture("nondet_interprocedural_pos.cpp");
   EXPECT_TRUE(pos.errors.empty()) << render_human(pos);
@@ -291,7 +247,8 @@ class GoldenEffects : public ::testing::Test {
     for (const char* f :
          {"src/sim/engine.cpp", "src/core/evaluator.cpp",
           "src/simmpi/world.cpp", "src/simio/filesystem.cpp",
-          "src/common/rng.cpp", "src/simrace/explorer.cpp"}) {
+          "src/common/rng.cpp", "src/simrace/explorer.cpp",
+          "src/common/parallel.cpp", "src/sim/run_context.cpp"}) {
       collect_effects(f, lex(read_file(source_root() + "/" + f)), *index_);
     }
     finalize_effects(*index_);
@@ -322,23 +279,19 @@ TEST_F(GoldenEffects, EngineRunIsTheSanctionedEngineSeam) {
   EXPECT_FALSE(run.is_handler);
   EXPECT_TRUE(run.seamed_for("cross-rank-shared-mutable"));
   EXPECT_TRUE(run.seamed_for("nondet-interprocedural"));
-  EXPECT_FALSE(run.seamed_for("lock-discipline"));
 }
 
-TEST_F(GoldenEffects, EvaluatorLockSurface) {
-  EXPECT_TRUE(fn("Evaluator::with_exclusive_globals").direct &
-              kEffLockExclusive);
-  const FunctionSummary& eval = fn("Evaluator::evaluate");
-  EXPECT_TRUE(eval.direct & kEffGuardScoped);
-  EXPECT_TRUE(eval.direct & kEffLockExclusive);
-  EXPECT_TRUE(eval.direct & kEffLockShared);
-  EXPECT_FALSE(rank_local_only(eval.effects));
+TEST_F(GoldenEffects, RunContextAccessorIsTheSanctionedContextSeam) {
+  const FunctionSummary& current = fn("current_run_context");
+  EXPECT_TRUE(current.direct & kEffReadsGlobal) << "thread_local read";
+  EXPECT_TRUE(current.seamed_for("cross-rank-shared-mutable"));
+  EXPECT_TRUE(fn("RunScope::RunScope").direct & kEffWritesGlobal);
 }
 
 TEST_F(GoldenEffects, MeyersSingletonCountsAsALocalStaticWrite) {
-  const FunctionSummary& mu = fn("globals_mutex");
+  const FunctionSummary& pool = fn("ThreadPool::shared");
   const bool meyers =
-      std::any_of(mu.global_uses.begin(), mu.global_uses.end(),
+      std::any_of(pool.global_uses.begin(), pool.global_uses.end(),
                   [](const GlobalUse& u) { return u.local_static && u.write; });
   EXPECT_TRUE(meyers);
 }
@@ -371,13 +324,6 @@ TEST_F(GoldenEffects, RngIsTheSanctionedEntropyHome) {
   EXPECT_TRUE(next.nondet_sites.empty())
       << "common/rng is exempt from the nondet matcher";
   EXPECT_TRUE(rank_local_only(fn("Rng::normal").effects));
-}
-
-TEST_F(GoldenEffects, RaceExplorerOwnsItsLockSeam) {
-  const FunctionSummary& ru = fn("run_under");
-  EXPECT_TRUE(ru.direct & kEffGuardScoped);
-  EXPECT_TRUE(ru.seamed_for("lock-discipline"));
-  EXPECT_FALSE(ru.seamed_for("cross-rank-shared-mutable"));
 }
 
 // --- SARIF ------------------------------------------------------------------

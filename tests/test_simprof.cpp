@@ -2,21 +2,25 @@
 // totals, timeline cap, CSV / chrome://tracing export), the communication
 // matrix, the critical-path analyzer on hand-built 2–4-rank programs
 // (late sender under eager and rendezvous, collective barrier chains),
-// the per-world roll-up, and composition with the simcheck analyzer
-// through the observer fan-out.
+// the per-world roll-up, composition with the simcheck analyzer through
+// the observer fan-out, and analyzed runs under separate RunContexts on
+// several threads (test_simprof_tsan runs this suite under TSAN).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "machine/network.hpp"
 #include "machine/placement.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
 #include "simio/filesystem.hpp"
+#include "simomp/omp_model.hpp"
 #include "simprof/comm_matrix.hpp"
 #include "simprof/critical_path.hpp"
 #include "simprof/profiler.hpp"
@@ -336,7 +340,7 @@ TEST(Profiler, IoSpansFillIoSecondsAndTheCriticalPath) {
 TEST(Profiler, ReportRenderAndJsonCarryTheRollup) {
   Rig rig(2);
   Profiler prof;
-  prof.set_publish_globally(false);
+  prof.publish_to(nullptr);
   prof.attach(rig.world);
   rig.world.run([](Rank& r) -> sim::CoTask<void> {
     co_await r.compute(0.5);
@@ -353,17 +357,19 @@ TEST(Profiler, ReportRenderAndJsonCarryTheRollup) {
   EXPECT_NE(json.find("\"comm_fraction\""), std::string::npos);
 }
 
-// --- Global profile + composition with simcheck -----------------------------
+// --- Per-run profile + composition with simcheck ----------------------------
 
-TEST(Global, ProfileAndCheckComposeThroughObserverFanout) {
+TEST(Context, ProfileAndCheckComposeThroughObserverFanout) {
   simcheck::CheckReport check;
   ProfileReport profile;
   TraceArtifacts trace;
   double makespan = 0.0;
   {
-    const ScopedGlobalProfile profile_on;
-    const simcheck::ScopedGlobalCheck check_on;
+    sim::RunContext ctx;
+    const auto profile_sink = arm_profile(ctx);
+    const auto check_sink = simcheck::arm_check(ctx);
     {
+      const sim::RunScope scope(ctx);
       Rig rig(4);
       makespan = rig.world.run([](Rank& r) -> sim::CoTask<void> {
         co_await r.compute(1e-3 * (r.rank() + 1));
@@ -372,11 +378,11 @@ TEST(Global, ProfileAndCheckComposeThroughObserverFanout) {
         co_await r.sendrecv(peer, 1e5, peer, 5);
       });
     }
-    check = simcheck::drain_global_check_report();
-    profile = drain_global_profile_report();
-    trace = drain_global_profile_trace();
+    check = check_sink->take_report();
+    profile = profile_sink->take_report();
+    trace = profile_sink->take_trace();
   }
-  EXPECT_FALSE(global_profile_enabled());
+  EXPECT_EQ(sim::current_run_context(), nullptr);
 
   EXPECT_TRUE(check.clean()) << check.render();
   EXPECT_GT(check.stats.p2p_ops, 0u);
@@ -394,30 +400,111 @@ TEST(Global, ProfileAndCheckComposeThroughObserverFanout) {
             std::string::npos);
 }
 
-TEST(Global, DrainedTwiceIsEmptyAndDisableDetaches) {
+TEST(Context, TakenTwiceIsEmptyAndScopeExitDetaches) {
+  sim::RunContext ctx;
+  const auto sink = arm_profile(ctx);
   {
-    ScopedGlobalProfile scoped;
+    const sim::RunScope scope(ctx);
     {
       Rig rig(2);
       rig.world.run([](Rank& r) -> sim::CoTask<void> {
         co_await r.allreduce(128.0);
       });
     }
-    ProfileReport first = drain_global_profile_report();
+    ProfileReport first = sink->take_report();
     EXPECT_EQ(first.worlds.size(), 1u);
-    ProfileReport second = drain_global_profile_report();
+    ProfileReport second = sink->take_report();
     EXPECT_EQ(second.worlds.size(), 0u);
   }
-  // Worlds constructed after the guard disarms are not profiled.
+  // Worlds constructed after the scope exits are not profiled.
   {
     Rig rig(2);
     rig.world.run([](Rank& r) -> sim::CoTask<void> {
       co_await r.allreduce(128.0);
     });
   }
-  ProfileReport after = drain_global_profile_report();
+  ProfileReport after = sink->take_report();
   EXPECT_EQ(after.worlds.size(), 0u);
   EXPECT_EQ(after.stats.worlds, 0u);
+}
+
+/// Three small checked/profiled Worlds and one OpenMP region, built under
+/// whatever context is installed.
+void analyzed_worlds(int nranks) {
+  for (int round = 0; round < 3; ++round) {
+    Rig rig(nranks);
+    rig.world.run([round](Rank& r) -> sim::CoTask<void> {
+      co_await r.compute(1e-4 * (r.rank() + round + 1));
+      co_await r.allreduce(4096.0);
+      const int peer = r.rank() ^ 1;
+      co_await r.sendrecv(peer, kRendezvousBytes, peer, 3);
+    });
+  }
+  simomp::OmpModel model(machine::NodeSpec::bx2b());
+  simomp::RegionSpec region;
+  region.total.flops = 1e9;
+  region.total.mem_bytes = 1e8;
+  (void)model.region_time(region, 4, simomp::Pinning::Pinned,
+                          perfmodel::KernelClass::StreamCopy);
+}
+
+/// Everything one checked + profiled run under its own context produced,
+/// rendered: the reports, the retained timeline, the region count.
+std::string checked_profiled_run(int nranks) {
+  sim::RunContext ctx;
+  const auto check = simcheck::arm_check(ctx);
+  const auto profile = arm_profile(ctx);
+  {
+    const sim::RunScope scope(ctx);
+    analyzed_worlds(nranks);
+  }
+  const simcheck::CheckReport c = check->take_report();
+  const ProfileReport p = profile->take_report();
+  const TraceArtifacts t = profile->take_trace();
+  return c.render() + c.to_json() + p.render() + p.to_json() +
+         t.chrome_json() + t.gantt_csv() + t.comm_csv();
+}
+
+TEST(Context, SeparateContextsOnSeveralThreadsMatchTheSequentialRuns) {
+  // Each thread arms its own context; the sinks of one must see exactly
+  // the Worlds built under it, however the threads interleave.
+  const std::vector<int> sizes = {2, 4, 6, 8};
+  std::vector<std::string> expected;
+  for (const int n : sizes) expected.push_back(checked_profiled_run(n));
+  std::vector<std::string> got(sizes.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    threads.emplace_back(
+        [&got, &sizes, i] { got[i] = checked_profiled_run(sizes[i]); });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << sizes[i] << " ranks";
+  }
+}
+
+TEST(Context, OneContextSharedByThreadsMergesEveryWorld) {
+  // What a parallel sweep does: several threads install the same context
+  // and their Worlds publish into its sinks concurrently.
+  sim::RunContext ctx;
+  const auto check = simcheck::arm_check(ctx);
+  const auto profile = arm_profile(ctx);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&ctx] {
+      const sim::RunScope scope(ctx);
+      analyzed_worlds(4);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const simcheck::CheckReport c = check->take_report();
+  const ProfileReport p = profile->take_report();
+  EXPECT_TRUE(c.clean()) << c.render();
+  EXPECT_EQ(c.stats.worlds, 12u);
+  EXPECT_EQ(c.stats.regions, 4u);
+  EXPECT_EQ(p.stats.worlds, 12u);
+  EXPECT_EQ(p.stats.regions, 4u);
+  EXPECT_EQ(p.worlds.size(), 12u);
 }
 
 }  // namespace

@@ -19,11 +19,15 @@ TEST(Registry, ProfiledRunsAreByteIdenticalAndSatisfyPathIdentity) {
   for (const auto& exp : core::experiment_registry()) {
     const std::string plain = exp.run_exec(exec).render();
 
-    // Scoped so a failed EXPECT cannot leak the factory into later tests.
-    const ScopedGlobalProfile profile_on;
-    const std::string profiled = exp.run_exec(exec).render();
-    ProfileReport report = drain_global_profile_report();
-    TraceArtifacts trace = drain_global_profile_trace();
+    sim::RunContext ctx;
+    const auto sink = arm_profile(ctx);
+    std::string profiled;
+    {
+      const sim::RunScope scope(ctx);
+      profiled = exp.run_exec(exec).render();
+    }
+    ProfileReport report = sink->take_report();
+    TraceArtifacts trace = sink->take_trace();
 
     EXPECT_EQ(plain, profiled) << exp.id << ": profiled run altered output";
 

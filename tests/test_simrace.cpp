@@ -5,9 +5,9 @@
 // byte-identical across invocations, and (c) stay silent on a scenario
 // that consumes the same wildcard nondeterminism order-insensitively.
 // Around that: the MatchPolicy seam end to end, infeasible schedules
-// deadlocking (not diverging), the schedule codec, and — unless the ASan
-// build compiles them out — a registry smoke pass proving the paper
-// artifacts are wildcard-race-free.
+// deadlocking (not diverging), each execution's own RunContext, the
+// schedule codec, and — unless the ASan build compiles them out — a
+// registry smoke pass proving the paper artifacts are wildcard-race-free.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 
 #include "machine/network.hpp"
 #include "machine/placement.hpp"
+#include "sim/run_context.hpp"
 #include "simmpi/world.hpp"
 #include "simrace/explorer.hpp"
 #include "simrace/schedule.hpp"
@@ -176,6 +177,20 @@ TEST(Explore, MaxExecsBoundsTheWalkAndReportsTruncation) {
   EXPECT_EQ(result.explored, 1);
   EXPECT_FALSE(result.raced());  // budget too small to reach the race
   EXPECT_GT(result.truncated, 0);
+}
+
+TEST(Explore, RunsUnderItsOwnContextNotTheCallers) {
+  // Each execution installs its own RunContext: a caller's armed context
+  // sees none of the explored Worlds and is back in place afterwards.
+  sim::RunContext outer;
+  const auto outer_check = simcheck::arm_check(outer);
+  const sim::RunScope scope(outer);
+  ExploreOptions opts;
+  opts.max_execs = 8;
+  const auto result = explore(order_dependent_scenario, opts);
+  EXPECT_TRUE(result.raced());
+  EXPECT_EQ(sim::current_run_context(), &outer);
+  EXPECT_EQ(outer_check->take_report().stats.worlds, 0u);
 }
 
 #ifndef COLUMBIA_SIMRACE_NO_REGISTRY

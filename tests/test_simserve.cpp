@@ -8,7 +8,8 @@
 //    with the CLI parser (one schema, two front ends).
 //  * core::Evaluator — result bytes are byte-identical to what
 //    run_experiment composes for the same spec, including under
-//    check+profile+faults (registry builds only).
+//    check+profile+faults, and stay so (event counts included) when
+//    analyzer specs evaluate concurrently (registry builds only).
 //  * simserve::Service — cache hits, the cache's byte budget and LRU
 //    eviction, in-flight coalescing, and a thousand-plus concurrent
 //    requests against a gated stub evaluator.
@@ -45,8 +46,10 @@
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
 #include "machine/transport.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
+#include "simfault/schedule.hpp"
+#include "simmpi/world.hpp"
 #include "simprof/profiler.hpp"
 #include "simserve/eval.hpp"
 #else
@@ -665,8 +668,8 @@ TEST(Evaluator, PlainSpecMatchesRunExperimentBytes) {
 
 // The acceptance criterion spec: byte-identity must hold with analyzers
 // armed too — same report bytes, same check verdicts, same fault
-// counters as a manual Scoped*-guarded run of the same experiment.
-TEST(Evaluator, CheckProfileFaultsSpecMatchesGuardedRunBytes) {
+// counters as a hand-armed RunContext run of the same experiment.
+TEST(Evaluator, CheckProfileFaultsSpecMatchesArmedRunBytes) {
   ScenarioSpec spec;
   spec.experiment = "table2";
   spec.check = true;
@@ -683,15 +686,19 @@ TEST(Evaluator, CheckProfileFaultsSpecMatchesGuardedRunBytes) {
   std::string expected_check_json;
   simfault::FaultStats expected_stats;
   {
-    simcheck::ScopedGlobalCheck check;
-    simprof::ScopedGlobalProfile profile;
-    simfault::ScopedGlobalFaults faults(
+    sim::RunContext ctx;
+    const auto check = simcheck::arm_check(ctx);
+    const auto profile = simprof::arm_profile(ctx);
+    const auto faults = simfault::arm_faults(
+        ctx,
         simfault::FaultSpec::uniform(spec.fault_seed, spec.fault_intensity));
-    expected_report =
-        composed_bytes(*exp, exp->run_exec(core::Exec::sequential()));
-    expected_check_json = simcheck::drain_global_check_report().to_json();
-    simprof::drain_global_profile_report();
-    expected_stats = simfault::drain_global_fault_stats();
+    {
+      const sim::RunScope scope(ctx);
+      expected_report =
+          composed_bytes(*exp, exp->run_exec(core::Exec::sequential()));
+    }
+    expected_check_json = check->take_report().to_json();
+    expected_stats = faults->take();
   }
   EXPECT_EQ(result.report, expected_report);
   EXPECT_EQ(result.check_json, expected_check_json);
@@ -710,8 +717,10 @@ TEST(Evaluator, ErrorsAreValuesNotExceptions) {
   EXPECT_NE(result.error.find("unknown experiment id"), std::string::npos);
 }
 
-// Evaluation leaves no process-global state armed, whatever the spec.
-TEST(Evaluator, NoGlobalStateLeaks) {
+// Evaluation leaves nothing armed on the calling thread, whatever the
+// spec: a World built afterwards has no analyzer, fault model or flow
+// network.
+TEST(Evaluator, LeavesNothingArmed) {
   ScenarioSpec spec;
   spec.experiment = "table2";
   spec.check = true;
@@ -721,10 +730,114 @@ TEST(Evaluator, NoGlobalStateLeaks) {
   spec.fault_intensity = 0.1;
   spec.transport = "flow";
   ASSERT_TRUE(core::Evaluator().evaluate(spec).ok);
-  EXPECT_FALSE(simcheck::global_check_enabled());
-  EXPECT_FALSE(simprof::global_profile_enabled());
-  EXPECT_FALSE(simfault::global_faults_enabled());
-  EXPECT_EQ(machine::global_transport(), machine::TransportModel::Event);
+  EXPECT_EQ(sim::current_run_context(), nullptr);
+  EXPECT_EQ(machine::context_transport(), machine::TransportModel::Event);
+  sim::Engine engine;
+  const auto cluster = machine::Cluster::single(machine::NodeType::AltixBX2b);
+  machine::Network network(engine, cluster);
+  simmpi::World world(engine, network,
+                      machine::Placement::dense(cluster, 2));
+  EXPECT_EQ(world.observer(), nullptr);
+  EXPECT_EQ(world.fault_model(), nullptr);
+  EXPECT_EQ(network.flow_solver(), nullptr);
+}
+
+/// Every EvalResult field that does not measure the host.
+std::string result_fields(const core::EvalResult& r) {
+  std::ostringstream os;
+  os << r.ok << "|" << r.error << "|" << r.spec_hash << "|" << r.report
+     << "|events=" << r.events << "|" << r.check_report << "|"
+     << r.check_json << "|" << r.check_clean << "|" << r.profile_report
+     << "|" << r.profile_json << "|" << r.trace_valid << "|"
+     << r.trace_chrome_json << "|" << r.trace_gantt_csv << "|"
+     << r.trace_comm_csv << "|faults=" << r.fault_stats.worlds << ","
+     << r.fault_stats.messages_dropped << "," << r.fault_stats.retries << ","
+     << r.fault_stats.messages_lost;
+  return os.str();
+}
+
+/// The fixed analyzer mix: plain, check, profile, faults, and all three.
+std::vector<ScenarioSpec> analyzer_mix() {
+  const char* ids[] = {"ablation-degraded-fabric", "sec42", "ablation-cache",
+                       "ext-io-overlap", "ext-checkpoint"};
+  std::vector<ScenarioSpec> specs;
+  for (int k = 0; k < 5; ++k) {
+    ScenarioSpec spec;
+    spec.experiment = ids[k];
+    spec.check = k == 1 || k == 4;
+    spec.profile = k == 2 || k == 4;
+    spec.faults = k == 3 || k == 4;
+    spec.fault_seed = 5;
+    spec.fault_intensity = spec.faults ? 0.2 : 0.0;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+/// Evaluates every spec `rounds` times on `threads` threads through one
+/// Evaluator; out[i] holds every result of specs[i].
+std::vector<std::vector<core::EvalResult>> evaluate_concurrently(
+    const core::Evaluator& evaluator, const std::vector<ScenarioSpec>& specs,
+    int rounds, int threads) {
+  std::vector<std::vector<core::EvalResult>> out(specs.size());
+  for (auto& v : out) v.resize(static_cast<std::size_t>(rounds));
+  const std::size_t jobs = specs.size() * static_cast<std::size_t>(rounds);
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      for (std::size_t j = next++; j < jobs; j = next++) {
+        const std::size_t i = j % specs.size();
+        out[i][j / specs.size()] = evaluator.evaluate(specs[i]);
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  return out;
+}
+
+// Analyzer specs no longer serialize: four threads evaluate the mix at
+// once through one Evaluator, and every result equals the spec's
+// sequential one — reports, check and profile text and JSON, fault
+// counters and event counts.
+TEST(Evaluator, ConcurrentAnalyzerMixMatchesSequentialResults) {
+  const core::Evaluator evaluator;
+  const std::vector<ScenarioSpec> specs = analyzer_mix();
+  std::vector<std::string> sequential;
+  for (const auto& spec : specs) {
+    const core::EvalResult r = evaluator.evaluate(spec);
+    ASSERT_TRUE(r.ok) << spec.experiment << ": " << r.error;
+    sequential.push_back(result_fields(r));
+  }
+  const auto concurrent = evaluate_concurrently(evaluator, specs, 2, 4);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (const auto& r : concurrent[i]) {
+      EXPECT_TRUE(result_fields(r) == sequential[i])
+          << specs[i].experiment << " check=" << specs[i].check
+          << " profile=" << specs[i].profile
+          << " faults=" << specs[i].faults;
+    }
+  }
+}
+
+// EvalResult::events counts the evaluation's own engines, not everything
+// the process ran in its window: evaluated alone or on four threads
+// beside other specs, a spec reports the same count.
+TEST(Evaluator, EventCountIsExactBesideOtherEvaluations) {
+  const core::Evaluator evaluator;
+  std::vector<ScenarioSpec> specs = analyzer_mix();
+  for (auto& spec : specs) spec.check = spec.profile = spec.faults = false;
+  std::vector<std::uint64_t> alone;
+  for (const auto& spec : specs) {
+    alone.push_back(evaluator.evaluate(spec).events);
+    EXPECT_GT(alone.back(), 0u) << spec.experiment;
+  }
+  const auto concurrent = evaluate_concurrently(evaluator, specs, 2, 4);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (const auto& r : concurrent[i]) {
+      EXPECT_EQ(r.events, alone[i]) << specs[i].experiment;
+    }
+  }
 }
 
 // --- Registry-backed service ------------------------------------------------
@@ -756,6 +869,37 @@ TEST(RegistryService, StdinModeServesRegistrySpecs) {
   EXPECT_NE(out.str().find("\"status\":\"done\""), std::string::npos);
   EXPECT_NE(out.str().find("### table2"), std::string::npos);
   EXPECT_NE(out.str().find("\"table6\""), std::string::npos);  // list op
+}
+
+// Race exploration arms its own contexts, so it no longer waits for (or
+// blocks) plain evaluations: run beside them through registry_eval(), it
+// returns the same race summary as run alone.
+TEST(RegistryService, RaceExploreBesidePlainEvaluationsMatchesAlone) {
+  const simserve::EvalFn eval = simserve::registry_eval();
+  ScenarioSpec race;
+  race.experiment = "sec42";
+  race.race_explore = true;
+  race.max_execs = 4;
+  const simserve::EvalOutcome alone = eval(race);
+  ASSERT_TRUE(alone.ok) << alone.error;
+  ASSERT_FALSE(alone.race_summary.empty());
+
+  std::atomic<bool> racing{true};
+  std::vector<std::thread> plain;
+  for (const char* id : {"table2", "ablation-cache"}) {
+    plain.emplace_back([&eval, &racing, id] {
+      ScenarioSpec spec;
+      spec.experiment = id;
+      while (racing.load()) EXPECT_TRUE(eval(spec).ok) << id;
+    });
+  }
+  const simserve::EvalOutcome beside = eval(race);
+  racing.store(false);
+  for (auto& t : plain) t.join();
+  ASSERT_TRUE(beside.ok) << beside.error;
+  EXPECT_EQ(beside.race_summary, alone.race_summary);
+  EXPECT_EQ(beside.races, alone.races);
+  EXPECT_EQ(beside.report, alone.report);
 }
 
 #endif  // COLUMBIA_SIMSERVE_NO_REGISTRY

@@ -3,7 +3,8 @@
 //   * FlowSolver mechanics — exact uncontended drain, slot sharing,
 //     hold-while-queued FIFO admission, capacity > 1;
 //   * Network equivalence — a lone transfer costs the same under both
-//     backends; the seam selects the right implementation;
+//     backends; the seam selects the right implementation, and the
+//     constructor default follows the installed RunContext, per thread;
 //   * cross-validation — fig5, fig10, and table6 regenerate under
 //     `--transport flow` within the documented tolerance of the event
 //     backend (exact off the random-ring series, <=10% on it; table6
@@ -17,7 +18,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <latch>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "machine/network.hpp"
 #include "machine/transport.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 
 #ifndef COLUMBIA_TRANSPORT_NO_REGISTRY
 #include "core/experiment.hpp"
@@ -33,9 +37,6 @@
 
 namespace columbia::machine {
 namespace {
-
-// Scope-pinning the process-wide transport uses machine::ScopedTransport
-// (transport.hpp) — the same guard the comparison tools use.
 
 TEST(Transport, ParseAndRoundTrip) {
   TransportModel m = TransportModel::Event;
@@ -183,12 +184,46 @@ TEST(Network, SeamSelectsTheRequestedBackend) {
   EXPECT_GT(fl.flow_solver()->num_links(), 0u);
 }
 
-TEST(Network, CtorDefaultFollowsGlobalTransport) {
-  ScopedTransport pin(TransportModel::Flow);
+TEST(Network, CtorDefaultFollowsTheContextTransport) {
   sim::Engine eng;
   auto c = Cluster::single(NodeType::Altix3700);
-  Network net(eng, c);
-  EXPECT_NE(net.flow_solver(), nullptr);
+  {
+    sim::RunContext ctx;
+    ctx.transport = TransportModel::Flow;
+    const sim::RunScope scope(ctx);
+    Network net(eng, c);
+    EXPECT_NE(net.flow_solver(), nullptr);
+  }
+  Network outside(eng, c);
+  EXPECT_EQ(outside.flow_solver(), nullptr) << "no context: event backend";
+}
+
+TEST(Network, ConcurrentContextsEachGetTheirOwnBackend) {
+  // Two threads, each under a context selecting a different transport,
+  // construct Networks at the same time; neither may see the other's.
+  constexpr int kNetworks = 50;
+  std::latch start(2);
+  auto build = [&start](TransportModel model, int* matched) {
+    sim::RunContext ctx;
+    ctx.transport = model;
+    const sim::RunScope scope(ctx);
+    start.arrive_and_wait();
+    auto c = Cluster::single(NodeType::Altix3700);
+    for (int i = 0; i < kNetworks; ++i) {
+      sim::Engine eng;
+      Network net(eng, c);
+      const bool flow = net.flow_solver() != nullptr;
+      *matched += (flow == (model == TransportModel::Flow)) ? 1 : 0;
+    }
+  };
+  int event_matched = 0;
+  int flow_matched = 0;
+  std::thread a(build, TransportModel::Event, &event_matched);
+  std::thread b(build, TransportModel::Flow, &flow_matched);
+  a.join();
+  b.join();
+  EXPECT_EQ(event_matched, kNetworks);
+  EXPECT_EQ(flow_matched, kNetworks);
 }
 
 #ifndef COLUMBIA_TRANSPORT_NO_REGISTRY
@@ -212,7 +247,9 @@ std::vector<double> numeric_tokens(const std::string& s) {
 }
 
 std::string render_under(const std::string& id, TransportModel m) {
-  ScopedTransport pin(m);
+  sim::RunContext ctx;
+  ctx.transport = m;
+  const sim::RunScope scope(ctx);
   const auto* exp = core::find_experiment(id);
   EXPECT_NE(exp, nullptr) << id;
   return exp->run_exec(core::Exec::sequential()).render();
@@ -248,9 +285,9 @@ TEST(CrossValidation, FlowRenderIsByteDeterministic) {
   EXPECT_EQ(a, b);
 }
 
-TEST(ExtColumbiaFull, PinsTheFlowBackendRegardlessOfGlobal) {
+TEST(ExtColumbiaFull, PinsTheFlowBackendRegardlessOfTheContext) {
   // The driver forces TransportModel::Flow per network, so its output
-  // must not depend on the process-wide default.
+  // must not depend on the run's transport.
   const std::string under_event =
       render_under("ext-columbia-full", TransportModel::Event);
   const std::string under_flow =
