@@ -542,10 +542,11 @@ int main(int argc, char** argv) {
   std::error_code ec;
   std::filesystem::create_directories(
       std::filesystem::path(out).parent_path(), ec);
-  if (!columbia::bench::write_file(out, os.str())) {
-    std::fprintf(stderr, "could not write %s\n", out.c_str());
-  } else {
-    std::printf("wrote %s\n", out.c_str());
+  std::string error;
+  if (!columbia::core::write_file(out, os.str(), error)) {
+    std::fprintf(stderr, "bench_all: %s\n", error.c_str());
+    return 1;
   }
+  std::printf("wrote %s\n", out.c_str());
   return identical && check_report.clean() && race.diverged == 0 ? 0 : 1;
 }

@@ -1,12 +1,11 @@
 #pragma once
-// Shared helpers for the bench binaries: wall-clock timing of one
-// experiment regeneration and minimal JSON emission for the
-// bench_results/BENCH_*.json perf-tracking files. Header-only, no
+// Helpers for bench_all: wall-clock timing of one experiment
+// regeneration and minimal JSON emission for the
+// bench_results/BENCH_summary.json perf-tracking file. Header-only, no
 // third-party JSON dependency.
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,7 +41,10 @@ namespace columbia::bench {
 ///       — which splices into an existing summary, so run it after
 ///       bench_all — and extends each "flow_speedup" entry with
 ///       event_events_per_second / flow_events_per_second and a per-
-///       experiment "faster" verdict ("event" or "flow")
+///       experiment "faster" verdict ("event" or "flow"). Nothing writes
+///       "serve" since bench_serve was deleted (colbench's serve-mix
+///       workload measures the service now); the block was always
+///       optional, so the version stays 6.
 inline constexpr int kBenchSummarySchemaVersion = 6;
 
 /// Schema version of a serialized summary; version-1 files predate the
@@ -123,8 +125,8 @@ inline std::string json_number(double v) {
   return os.str();
 }
 
-/// Renders one timing as a JSON object (shared by BENCH_<id>.json and the
-/// per-experiment entries of BENCH_summary.json).
+/// Renders one timing as a JSON object (a per-experiment entry of
+/// BENCH_summary.json).
 inline std::string timing_to_json(const ExperimentTiming& t, int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   std::ostringstream os;
@@ -148,13 +150,6 @@ inline std::string timing_to_json(const ExperimentTiming& t, int indent) {
 inline int host_cpus() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-inline bool write_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << body;
-  return static_cast<bool>(out);
 }
 
 }  // namespace columbia::bench

@@ -12,6 +12,10 @@
 //                                       # seeded fault injection at
 //                                       # intensity 0.5 (same seed =>
 //                                       # byte-identical report)
+//   $ ./run_experiment --out bench_results table3
+//                                       # also write each table/figure
+//                                       # as <id>_<n>_<slug>.csv under
+//                                       # bench_results/
 //   $ ./run_experiment --profile --out prof table2
 //                                       # profile: per-experiment Chrome
 //                                       # trace, Gantt CSV, comm matrix,
@@ -32,15 +36,13 @@
 // experiment are the Evaluator's report bytes, which is exactly what
 // simserve serves and caches.
 //
-// Exits non-zero on an unknown id, a --filter that matches nothing, or —
-// with --check — any communication-correctness diagnostic.
+// Exits non-zero on an unknown id, a --filter that matches nothing, a
+// CSV or profile file that cannot be written, or — with --check — any
+// communication-correctness diagnostic.
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
@@ -58,33 +60,27 @@ std::string sanitize_id(const std::string& id) {
   return out;
 }
 
-bool write_file(const std::filesystem::path& path, const std::string& body) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    std::fprintf(stderr, "simprof: cannot write %s\n", path.string().c_str());
-    return false;
-  }
-  os << body;
-  return true;
-}
-
 /// Writes the evaluation's profile artifacts: <id>.trace.json
 /// (chrome://tracing), <id>.gantt.csv, <id>.comm.csv, <id>.profile.json;
-/// renders the roll-up to stderr.
-void export_profile(const std::string& id,
+/// renders the roll-up to stderr. Returns false with the unwritable file
+/// named in `error`.
+bool export_profile(const std::string& id,
                     const columbia::core::EvalResult& result,
-                    const std::string& out_dir) {
-  namespace fs = std::filesystem;
-  const fs::path dir(out_dir);
+                    const std::filesystem::path& dir, std::string& error) {
   const std::string base = sanitize_id(id);
-  write_file(dir / (base + ".profile.json"), result.profile_json + "\n");
-  if (result.trace_valid) {
-    write_file(dir / (base + ".trace.json"), result.trace_chrome_json);
-    write_file(dir / (base + ".gantt.csv"), result.trace_gantt_csv);
-    write_file(dir / (base + ".comm.csv"), result.trace_comm_csv);
+  const auto write = [&](const char* suffix, const std::string& body) {
+    return columbia::core::write_file(dir / (base + suffix), body, error);
+  };
+  if (!write(".profile.json", result.profile_json + "\n") ||
+      (result.trace_valid &&
+       !(write(".trace.json", result.trace_chrome_json) &&
+         write(".gantt.csv", result.trace_gantt_csv) &&
+         write(".comm.csv", result.trace_comm_csv)))) {
+    return false;
   }
   std::fprintf(stderr, "--- profile: %s ---\n", id.c_str());
   std::fputs(result.profile_report.c_str(), stderr);
+  return true;
 }
 
 /// Shared per-experiment state threaded through the id and filter loops.
@@ -96,9 +92,10 @@ struct RunState {
   bool check_failed = false;
 };
 
-/// Evaluates one id through the library API and prints the result bytes.
-/// Returns false on evaluation error (unknown id is caught earlier; this
-/// is e.g. a fault-induced deadlock).
+/// Evaluates one id through the library API, prints the result bytes and,
+/// with --out, writes the report's CSVs. Returns false on evaluation error
+/// (unknown id is caught earlier; this is e.g. a fault-induced deadlock)
+/// or on a CSV or profile file that cannot be written.
 bool run_one(RunState& state, const std::string& id) {
   using namespace columbia::core;
   EvalOptions eopts;
@@ -112,7 +109,15 @@ bool run_one(RunState& state, const std::string& id) {
     return false;
   }
   std::fputs(result.report.c_str(), stdout);
-  if (state.opts.spec.profile) export_profile(id, result, state.out_dir);
+  std::string error;
+  if ((!state.opts.out.empty() &&
+       !write_report_csvs(result.data, id, state.out_dir, error)) ||
+      (state.opts.spec.profile &&
+       !export_profile(id, result, state.out_dir, error))) {
+    std::fprintf(stderr, "run_experiment: %s: %s\n", id.c_str(),
+                 error.c_str());
+    return false;
+  }
   if (state.opts.spec.check) {
     std::fputs(result.check_report.c_str(), stderr);
     state.check_failed = state.check_failed || !result.check_clean;
@@ -139,7 +144,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (opts.spec.profile) {
+  if (opts.spec.profile || !opts.out.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     if (ec) {

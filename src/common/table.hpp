@@ -2,10 +2,10 @@
 /// \file table.hpp
 /// Result tables and data series for the characterization reports.
 ///
-/// Every bench binary reproduces one paper table or figure; `Table` renders
-/// the rows exactly as the paper formats them (fixed columns, aligned), and
-/// `Series` carries (x, y) curves for the figures. Both can be exported as
-/// CSV so the data can be re-plotted.
+/// Every registry experiment reproduces paper tables or figures; `Table`
+/// renders the rows exactly as the paper formats them (fixed columns,
+/// aligned), and `Series` carries (x, y) curves for the figures. Both can
+/// be exported as CSV so the data can be re-plotted.
 
 #include <deque>
 #include <iosfwd>

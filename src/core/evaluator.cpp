@@ -48,14 +48,14 @@ EvalResult Evaluator::evaluate(const ScenarioSpec& spec,
     // simlint:allow(nondet-source) — host-side serving latency, never
     // simulation state; report bytes stay (spec)-pure.
     const auto t0 = std::chrono::steady_clock::now();
-    const Report report = exp->run_exec(opts.exec);
+    result.data = exp->run_exec(opts.exec);
     // simlint:allow(nondet-source) — see above
     const auto t1 = std::chrono::steady_clock::now();
     result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     // The exact bytes run_experiment prints for one id: header, blank
     // line, rendered report, trailing newline.
     result.report = "### " + exp->id + " — " + exp->paper_ref + "\n### " +
-                    exp->title + "\n\n" + report.render() + "\n";
+                    exp->title + "\n\n" + result.data.render() + "\n";
     result.ok = true;
   } catch (const std::exception& e) {
     result.error = std::string("evaluation failed: ") + e.what();

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/figures.hpp"
 #include "core/scenario.hpp"
 #include "core/spec.hpp"
 #include "simfault/schedule.hpp"
@@ -50,6 +51,9 @@ struct EvalResult {
 
   std::uint64_t spec_hash = 0;
   std::string report;  ///< byte-identical to run_experiment's stdout block
+  /// The tables and figures `report` renders, moved out of the run (what
+  /// run_experiment --out writes as CSVs).
+  Report data;
 
   /// Engine events this evaluation processed (its RunContext's count).
   std::uint64_t events = 0;

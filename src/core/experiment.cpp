@@ -1,6 +1,8 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <fstream>
 #include <sstream>
 
 namespace columbia::core {
@@ -128,6 +130,37 @@ int paper_artifact_count() {
         return e.id.rfind("ablation-", 0) != 0 &&
                e.id.rfind("ext-", 0) != 0;
       }));
+}
+
+bool write_file(const std::filesystem::path& path, const std::string& body,
+                std::string& error) {
+  std::ofstream os(path, std::ios::binary);
+  os << body << std::flush;
+  if (!os) {
+    error = "cannot write " + path.string();
+    return false;
+  }
+  return true;
+}
+
+bool write_report_csvs(const Report& report, const std::string& id,
+                       const std::filesystem::path& dir, std::string& error) {
+  int index = 0;
+  const auto write_one = [&](std::string slug, const std::string& csv) {
+    for (char& c : slug) {
+      if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+    }
+    const std::string name = id + "_" + std::to_string(index++) + "_" +
+                             slug.substr(0, 60) + ".csv";
+    return write_file(dir / name, csv, error);
+  };
+  for (const auto& t : report.tables) {
+    if (!write_one(t.title(), t.csv())) return false;
+  }
+  for (const auto& f : report.figures) {
+    if (!write_one(f.title(), f.csv())) return false;
+  }
+  return true;
 }
 
 }  // namespace columbia::core

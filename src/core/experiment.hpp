@@ -2,9 +2,12 @@
 /// \file experiment.hpp
 /// The experiment registry: every table and figure of the paper's
 /// evaluation section, indexed by id, with the driver that regenerates it.
-/// DESIGN.md's per-experiment index and the bench/ binaries are both built
-/// from this list, so coverage cannot silently drift.
+/// DESIGN.md's per-experiment index and run_experiment's --list are both
+/// built from this list, so coverage cannot silently drift. Also the one
+/// writer of the files a run leaves behind: report CSVs and, through
+/// write_file, the analyzer artifacts and bench summaries.
 
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -36,5 +39,19 @@ int paper_artifact_count();
 /// Human-readable registry listing ("id  paper_ref  title" rows), shared
 /// by every binary's --list output.
 std::string registry_listing();
+
+/// Writes `body` to `path`, replacing any previous file. Returns false
+/// with a message naming `path` in `error` when the file cannot be
+/// written, e.g. because its parent is missing or is a regular file.
+bool write_file(const std::filesystem::path& path, const std::string& body,
+                std::string& error);
+
+/// Writes experiment `id`'s report under `dir`, one CSV per table and then
+/// per figure, named `<id>_<n>_<slug>.csv`: n counts from 0 over tables
+/// then figures, and slug is the title with every non-alphanumeric byte
+/// replaced by '_', cut to 60 bytes. These are the names of the committed
+/// bench_results/ files. Stops at the first failed write (see write_file).
+bool write_report_csvs(const Report& report, const std::string& id,
+                       const std::filesystem::path& dir, std::string& error);
 
 }  // namespace columbia::core

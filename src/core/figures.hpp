@@ -1,9 +1,8 @@
 #pragma once
 /// \file figures.hpp
 /// Reproduction drivers: one function per table/figure of the paper's
-/// evaluation (§4). Each returns ready-to-print Table/Figure objects; the
-/// bench binaries are thin wrappers around these. The experiment registry
-/// (experiment.hpp) indexes them by paper id.
+/// evaluation (§4). Each returns ready-to-print Table/Figure objects. The
+/// experiment registry (experiment.hpp) indexes them by paper id.
 ///
 /// Every driver decomposes its sweep into independent `Scenario` closures
 /// (one sim::Engine / model evaluation per point, see scenario.hpp) and

@@ -1,9 +1,13 @@
 // Tests for the characterization harness: registry completeness (every
-// paper artifact covered), report rendering, and spot-checks that the fast
-// drivers produce the paper's qualitative results end-to-end.
+// paper artifact covered), report rendering, the report/artifact writer,
+// and spot-checks that the fast drivers produce the paper's qualitative
+// results end-to-end.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "core/experiment.hpp"
@@ -42,6 +46,21 @@ TEST(Registry, FindExperiment) {
   EXPECT_NE(find_experiment("table5"), nullptr);
   EXPECT_EQ(find_experiment("table99"), nullptr);
   EXPECT_EQ(find_experiment("fig11")->paper_ref, "Sec. 4.6.2, Fig. 11");
+}
+
+TEST(Writer, FailsNamingTheFileWhenItsParentIsARegularFile) {
+  const auto blocker = std::filesystem::path(testing::TempDir()) /
+                       ("test_core_blocker." + std::to_string(::getpid()));
+  std::ofstream(blocker) << "not a directory\n";
+  std::string error;
+  EXPECT_FALSE(write_report_csvs(table1_node_characteristics(), "table1",
+                                 blocker, error));
+  EXPECT_NE(error.find((blocker / "table1_0_").string()), std::string::npos)
+      << error;
+  const auto profile = blocker / "table1.profile.json";
+  EXPECT_FALSE(write_file(profile, "{}\n", error));
+  EXPECT_EQ(error, "cannot write " + profile.string());
+  std::filesystem::remove(blocker);
 }
 
 TEST(Drivers, Table1RendersNodeCharacteristics) {

@@ -10,7 +10,9 @@
 // a run is a pure function of (spec, seed). A deterministic *failure* is
 // still deterministic — exceptions are folded into the golden string
 // rather than aborting the pass, so both passes must throw identically
-// or not at all.
+// or not at all. A pass runs one pool task per experiment, each arming
+// its own RunContext, so it uses every host CPU and the gate also covers
+// runs that overlap on other threads.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,9 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "core/experiment.hpp"
 #include "machine/transport.hpp"
 #include "sim/run_context.hpp"
@@ -69,22 +73,28 @@ Armed run_armed(const core::Experiment& exp, const core::Exec& exec,
   return out;
 }
 
-/// One full registry sweep with check + profile + faults enabled,
-/// concatenating every emitted artifact into a single golden string.
-std::string golden_pass(
+/// One full registry sweep with check + profile + faults enabled: every
+/// emitted artifact as one golden string per experiment, in registry
+/// order, then the merged fault counters.
+std::vector<std::string> golden_pass(
     machine::TransportModel transport = machine::TransportModel::Event) {
-  std::ostringstream os;
+  const auto& registry = core::experiment_registry();
+  std::vector<std::string> pass(registry.size());
+  std::vector<simfault::FaultStats> faults(registry.size());
+  common::parallel_for(registry.size(), [&](std::size_t i) {
+    Armed run = run_armed(registry[i], core::Exec::sequential(), transport);
+    pass[i] = "==== " + registry[i].id + " ====\n" + std::move(run.report) +
+              std::move(run.artifacts);
+    faults[i] = run.faults;
+  });
   simfault::FaultStats stats;
-  for (const auto& exp : core::experiment_registry()) {
-    os << "==== " << exp.id << " ====\n";
-    const Armed run = run_armed(exp, core::Exec::sequential(), transport);
-    os << run.report << run.artifacts;
-    stats.merge(run.faults);
-  }
+  for (const auto& f : faults) stats.merge(f);
+  std::ostringstream os;
   os << "faults: worlds=" << stats.worlds
      << " dropped=" << stats.messages_dropped << " retries=" << stats.retries
      << " lost=" << stats.messages_lost << "\n";
-  return os.str();
+  pass.push_back(os.str());
+  return pass;
 }
 
 /// Context around the first differing byte — EXPECT_EQ on multi-megabyte
@@ -103,9 +113,23 @@ std::string first_divergence(const std::string& a, const std::string& b) {
   return os.str();
 }
 
+/// The first golden string on which two passes differ, headed by its
+/// `==== <id> ====` line.
+std::string first_divergence(const std::vector<std::string>& a,
+                             const std::vector<std::string>& b) {
+  if (a.size() != b.size()) return "passes differ in length";
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) {
+      return a[i].substr(0, a[i].find('\n') + 1) +
+             first_divergence(a[i], b[i]);
+    }
+  }
+  return "(identical)";
+}
+
 TEST(GoldenDeterminism, RegistryWithCheckProfileFaultsIsByteIdentical) {
-  const std::string pass1 = golden_pass();
-  const std::string pass2 = golden_pass();
+  const auto pass1 = golden_pass();
+  const auto pass2 = golden_pass();
   ASSERT_FALSE(pass1.empty());
   EXPECT_TRUE(pass1 == pass2) << first_divergence(pass1, pass2);
 }
@@ -138,8 +162,8 @@ TEST(GoldenDeterminism, RegistryUnderFlowTransportIsByteIdentical) {
   // The same contract with the fluid network backend selected for the
   // whole run (what `--transport flow` does): every experiment, still
   // under check + profile + faults, must regenerate byte-identically.
-  const std::string pass1 = golden_pass(machine::TransportModel::Flow);
-  const std::string pass2 = golden_pass(machine::TransportModel::Flow);
+  const auto pass1 = golden_pass(machine::TransportModel::Flow);
+  const auto pass2 = golden_pass(machine::TransportModel::Flow);
   ASSERT_FALSE(pass1.empty());
   EXPECT_TRUE(pass1 == pass2) << first_divergence(pass1, pass2);
 }

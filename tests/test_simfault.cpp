@@ -28,6 +28,9 @@
 #include "../bench/bench_json.hpp"
 
 #ifndef COLUMBIA_SIMFAULT_NO_REGISTRY
+#include <cstddef>
+
+#include "common/parallel.hpp"
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
 #endif
@@ -551,14 +554,18 @@ TEST(FaultRegistry, FaultedRunsAreSeedDeterministic) {
 }
 
 TEST(FaultRegistry, ZeroIntensityIsByteIdenticalToCleanEverywhere) {
-  for (const auto& exp : core::experiment_registry()) {
+  // One pool task per experiment, so the sweep uses every host CPU: runs
+  // share nothing, and each armed one has its own RunContext.
+  const auto& registry = core::experiment_registry();
+  common::parallel_for(registry.size(), [&](std::size_t i) {
+    const auto& exp = registry[i];
     const auto clean = exp.run_exec(core::Exec::sequential()).render();
     sim::RunContext ctx;
     (void)simfault::arm_faults(ctx, simfault::FaultSpec::uniform(0, 0.0));
     const sim::RunScope scope(ctx);
     const auto faulted = exp.run_exec(core::Exec::sequential()).render();
     EXPECT_EQ(clean, faulted) << exp.id;
-  }
+  });
 }
 
 #endif  // COLUMBIA_SIMFAULT_NO_REGISTRY

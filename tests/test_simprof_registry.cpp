@@ -3,11 +3,15 @@
 // (the profiler is a pure listener), and every profiled world satisfies
 // the critical-path identity — compute + serialization + wire + blocked +
 // io sums to the makespan within 1e-9 — with comm fractions in [0, 1].
+// The sweep runs one pool task per experiment, so it uses every host CPU:
+// runs share nothing, and each profiled one has its own RunContext.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
+#include "common/parallel.hpp"
 #include "core/experiment.hpp"
 #include "simprof/profiler.hpp"
 
@@ -16,7 +20,9 @@ namespace {
 
 TEST(Registry, ProfiledRunsAreByteIdenticalAndSatisfyPathIdentity) {
   const auto exec = core::Exec::sequential();
-  for (const auto& exp : core::experiment_registry()) {
+  const auto& registry = core::experiment_registry();
+  common::parallel_for(registry.size(), [&](std::size_t i) {
+    const auto& exp = registry[i];
     const std::string plain = exp.run_exec(exec).render();
 
     sim::RunContext ctx;
@@ -56,7 +62,7 @@ TEST(Registry, ProfiledRunsAreByteIdenticalAndSatisfyPathIdentity) {
       EXPECT_NE(json.find("\"traceEvents\""), std::string::npos) << exp.id;
       EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos) << exp.id;
     }
-  }
+  });
 }
 
 }  // namespace
