@@ -6,10 +6,14 @@
 //
 // Flags parse through core::RunOptions (shared with run_experiment):
 //   bench_all [--list] [--filter <substr>] [--repeat N] [--jobs N]
-//             [--parallel] [--mode seq|par|both] [--strategy outer|inner]
-//             [--out FILE] [--check] [--profile] [--faults seed:intensity]
+//             [--mode seq|par|both] [--strategy outer|inner]
+//             [--out DIR] [--check] [--profile] [--faults seed:intensity]
 //             [--transport event|flow] [--flow-speedup]
 //             [--race-explore] [--max-execs N]
+//
+// --mode alone picks the passes (default both); --jobs sets the parallel
+// pass's width. The summary is written to DIR/BENCH_summary.json (DIR
+// defaults to bench_results).
 //
 // --transport selects the network backend for every pass; the summary
 // records it in the top-level "transport" field.
@@ -209,7 +213,7 @@ int main(int argc, char** argv) {
   using columbia::core::RunOptionsParser;
 
   int repeat = 1;
-  std::string mode;  // empty until --mode/--parallel decide; default "both"
+  std::string mode = "both";
   std::string strategy = "outer";
   bool flow_speedup = false;
 
@@ -269,14 +273,10 @@ int main(int argc, char** argv) {
     std::fputs(columbia::core::registry_listing().c_str(), stdout);
     return 0;
   }
-  if (mode.empty()) {
-    // Bare --parallel means "just the parallel pass"; the default compares
-    // both.
-    mode = opts.exec.mode == Exec::Mode::Parallel ? "par" : "both";
-  }
   const int jobs = opts.exec.jobs;
-  const std::string out =
-      opts.out.empty() ? "bench_results/BENCH_summary.json" : opts.out;
+  const std::filesystem::path out =
+      std::filesystem::path(opts.out.empty() ? "bench_results" : opts.out) /
+      "BENCH_summary.json";
 
   const int effective_jobs =
       jobs > 0 ? jobs : columbia::common::ThreadPool::default_jobs();
@@ -540,13 +540,12 @@ int main(int argc, char** argv) {
   columbia::bench::assert_summary_schema(os.str());
 
   std::error_code ec;
-  std::filesystem::create_directories(
-      std::filesystem::path(out).parent_path(), ec);
+  std::filesystem::create_directories(out.parent_path(), ec);
   std::string error;
   if (!columbia::core::write_file(out, os.str(), error)) {
     std::fprintf(stderr, "bench_all: %s\n", error.c_str());
     return 1;
   }
-  std::printf("wrote %s\n", out.c_str());
+  std::printf("wrote %s\n", out.string().c_str());
   return identical && check_report.clean() && race.diverged == 0 ? 0 : 1;
 }

@@ -149,6 +149,9 @@ std::string quote(const std::string& raw) {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -224,9 +227,18 @@ class Parser {
         return true;
       }
       case '[':
-        return parse_array(out);
-      case '{':
-        return parse_object(out);
+      case '{': {
+        // Bounded, so a hostile line cannot overflow the stack.
+        if (depth_ == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '[' ? parse_array(out) : parse_object(out);
+        --depth_;
+        return ok;
+      }
       default:
         return parse_number(out);
     }
@@ -440,6 +452,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
   std::string error_;
 };
 

@@ -1,21 +1,11 @@
 #include "core/spec.hpp"
 
-#include <cstdio>
-
+#include "common/hash.hpp"
 #include "common/json.hpp"
 
 namespace columbia::core {
 
 namespace json = common::json;
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string ScenarioSpec::canonical_json() const {
   std::string out = "{";
@@ -33,14 +23,11 @@ std::string ScenarioSpec::canonical_json() const {
   return out;
 }
 
-std::uint64_t ScenarioSpec::hash() const { return fnv1a64(canonical_json()); }
-
-std::string ScenarioSpec::hash_hex() const {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash()));
-  return std::string(buf);
+std::uint64_t ScenarioSpec::hash() const {
+  return common::fnv1a64(canonical_json());
 }
+
+std::string ScenarioSpec::hash_hex() const { return common::hex64(hash()); }
 
 namespace {
 

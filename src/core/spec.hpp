@@ -22,9 +22,9 @@
 ///
 /// `canonical_json()` is the fully-elaborated fixed-order rendering
 /// (every field present, defaults explicit, shortest-round-trip numbers);
-/// `hash()` is FNV-1a 64 over those bytes. Same spec => same hash across
-/// processes and platforms, which is what simserve's result cache and the
-/// golden-hash tests key on.
+/// `hash()` is common::fnv1a64 over those bytes. Same spec => same hash
+/// across processes and platforms, which is what simserve's result cache
+/// and the golden-hash tests key on.
 
 #include <cstdint>
 #include <string>
@@ -76,9 +76,5 @@ struct ScenarioSpec {
   static bool from_json(const std::string& text, ScenarioSpec& out,
                         std::string& error);
 };
-
-/// FNV-1a 64 of arbitrary bytes — the repo-wide fingerprint flavor
-/// (simrace uses the same constants over result bytes).
-std::uint64_t fnv1a64(const std::string& bytes);
 
 }  // namespace columbia::core

@@ -1,12 +1,13 @@
 #include "simrace/explorer.hpp"
 
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "sim/engine.hpp"
 #include "sim/run_context.hpp"
 #include "simmpi/observer.hpp"
@@ -16,32 +17,23 @@ namespace columbia::simrace {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
+/// The object representation of an integer, as bytes to hash.
+template <typename T>
+std::string_view bytes_of(const T& value) {
+  return {reinterpret_cast<const char*>(&value), sizeof(value)};
 }
 
 std::uint64_t fingerprint_of(const std::string& bytes,
                              const simcheck::CheckReport& check) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a_str(h, bytes);
+  std::uint64_t h = common::fnv1a64(bytes);
   for (const auto& d : check.diagnostics) {
     if (d.kind == simcheck::DiagKind::WildcardRace) continue;
-    h = fnv1a_str(h, simcheck::diag_kind_name(d.kind));
-    h = fnv1a(h, &d.rank, sizeof(d.rank));
-    h = fnv1a_str(h, d.detail);
+    h = common::fnv1a64(simcheck::diag_kind_name(d.kind), h);
+    h = common::fnv1a64(bytes_of(d.rank), h);
+    h = common::fnv1a64(d.detail, h);
   }
-  h = fnv1a(h, &check.stats.p2p_ops, sizeof(check.stats.p2p_ops));
-  h = fnv1a(h, &check.stats.collectives, sizeof(check.stats.collectives));
-  return h;
+  h = common::fnv1a64(bytes_of(check.stats.p2p_ops), h);
+  return common::fnv1a64(bytes_of(check.stats.collectives), h);
 }
 
 /// Per-run shared state: the schedule plus the World construction counter
@@ -167,15 +159,10 @@ std::string ExploreResult::render(const std::string& label) const {
   os << "\n";
   for (std::size_t i = 0; i < divergences.size(); ++i) {
     const auto& d = divergences[i];
-    char fp[32];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(d.fingerprint));
-    char base[32];
-    std::snprintf(base, sizeof(base), "%016llx",
-                  static_cast<unsigned long long>(baseline_fingerprint));
-    os << "  confirmed race #" << i << ": fingerprint " << fp
-       << " != baseline " << base << "; schedule " << d.schedule.canonical()
-       << "\n";
+    os << "  confirmed race #" << i << ": fingerprint "
+       << common::hex64(d.fingerprint) << " != baseline "
+       << common::hex64(baseline_fingerprint) << "; schedule "
+       << d.schedule.canonical() << "\n";
   }
   return os.str();
 }

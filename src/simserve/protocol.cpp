@@ -1,7 +1,6 @@
 #include "simserve/protocol.hpp"
 
-#include <cstdio>
-
+#include "common/hash.hpp"
 #include "common/json.hpp"
 
 namespace columbia::simserve {
@@ -9,13 +8,6 @@ namespace columbia::simserve {
 namespace json = common::json;
 
 namespace {
-
-std::string hash_hex(std::uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return std::string(buf);
-}
 
 /// Every response line opens with the echoed correlation id (when the
 /// request carried one) so clients can match lines to requests.
@@ -105,14 +97,14 @@ std::string error_line(const std::string& id, const std::string& error) {
 
 std::string status_line(const std::string& id, std::uint64_t spec_hash) {
   return open_line(id) + "\"status\":\"queued\",\"spec_hash\":\"" +
-         hash_hex(spec_hash) + "\"}";
+         common::hex64(spec_hash) + "\"}";
 }
 
 std::string result_line(const std::string& id, const Response& response) {
   const EvalOutcome& o = *response.outcome;
   std::string out = open_line(id);
   out += "\"status\":\"done\"";
-  out += ",\"spec_hash\":\"" + hash_hex(response.spec_hash) + "\"";
+  out += ",\"spec_hash\":\"" + common::hex64(response.spec_hash) + "\"";
   out += std::string(",\"ok\":") + (o.ok ? "true" : "false");
   out += std::string(",\"cached\":") + (response.cached ? "true" : "false");
   out += std::string(",\"coalesced\":") +

@@ -1,5 +1,6 @@
 // Unit tests for the common utilities: RNG determinism and distributions,
-// statistics accumulators, table/figure rendering, contract checks.
+// statistics accumulators, table/figure rendering, contract checks and
+// the FNV-1a hash.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <set>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -191,6 +193,13 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(to_usec(1e-6), 1.0);
   EXPECT_DOUBLE_EQ(to_mb_per_s(3.2 * GB), 3200.0);
   EXPECT_DOUBLE_EQ(to_gflops(6.0 * GFLOPS), 6.0);
+}
+
+TEST(Hash, Fnv1a64StandardVectors) {
+  EXPECT_EQ(common::hex64(common::fnv1a64("")), "cbf29ce484222325");
+  EXPECT_EQ(common::hex64(common::fnv1a64("a")), "af63dc4c8601ec8c");
+  EXPECT_EQ(common::fnv1a64("ab"),
+            common::fnv1a64("b", common::fnv1a64("a")));
 }
 
 }  // namespace

@@ -1,26 +1,17 @@
 // Tests for simcheck: each detector must fire on a deliberately buggy
 // program (deadlock cycle, message/request leaks, collective divergence,
-// wildcard races, invalid OpenMP region demand), correct programs must
-// come back clean, and — the analyzer being a pure listener — a checked
-// run of the full experiment registry must produce byte-identical reports
-// to an unchecked one. The same sweep holds each plain report's CSVs to
-// the committed bench_results/ files.
+// wildcard races, invalid OpenMP region demand), and correct programs
+// must come back clean. tests/test_registry.cpp holds the whole registry
+// to a clean check with unaltered reports.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
-#include "core/experiment.hpp"
 #include "machine/network.hpp"
 #include "machine/placement.hpp"
 #include "sim/run_context.hpp"
@@ -358,7 +349,7 @@ TEST(Report, PerKindCapSuppressesFloods) {
   EXPECT_FALSE(rep.clean());
 }
 
-// --- clean programs and the registry ----------------------------------------
+// --- clean programs ---------------------------------------------------------
 
 TEST(Clean, CorrectProgramProducesCleanReportAndStats) {
   Rig rig(4);
@@ -375,77 +366,6 @@ TEST(Clean, CorrectProgramProducesCleanReportAndStats) {
   EXPECT_TRUE(rep.clean()) << rep.render();
   EXPECT_GT(rep.stats.p2p_ops, 0u);
   EXPECT_EQ(rep.stats.collectives, 4u);
-}
-
-/// The `<id>_*.csv` files in `dir`, file name -> bytes.
-std::map<std::string, std::string> csv_files(const std::filesystem::path& dir,
-                                             const std::string& id) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(id + "_", 0) != 0 || entry.path().extension() != ".csv") {
-      continue;
-    }
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    files[name] = bytes.str();
-  }
-  return files;
-}
-
-std::vector<std::string> names(const std::map<std::string, std::string>& m) {
-  std::vector<std::string> out;
-  for (const auto& [name, bytes] : m) out.push_back(name);
-  return out;
-}
-
-// The acceptance gate for the whole analyzer: every experiment in the
-// registry runs clean under --check, and because the checker is a pure
-// listener, the rendered reports are byte-identical with and without it.
-// The plain report's CSVs, written by the core writer, must be the
-// committed bench_results/ files byte for byte, none missing or extra.
-TEST(Registry, AllExperimentsCheckCleanWithByteIdenticalReports) {
-  const auto exec = core::Exec::sequential();
-  const auto tmp = std::filesystem::path(testing::TempDir()) /
-                   ("test_simcheck_csvs." + std::to_string(::getpid()));
-  std::filesystem::create_directories(tmp);
-  // One pool task per experiment, so the sweep uses every host CPU: runs
-  // share nothing, and each armed one has its own RunContext.
-  const auto& registry = core::experiment_registry();
-  common::parallel_for(registry.size(), [&](std::size_t i) {
-    const auto& exp = registry[i];
-    const core::Report report = exp.run_exec(exec);
-    const std::string plain = report.render();
-
-    const auto dir = tmp / exp.id;
-    std::filesystem::create_directories(dir);
-    std::string error;
-    ASSERT_TRUE(core::write_report_csvs(report, exp.id, dir, error)) << error;
-    const auto produced = csv_files(dir, exp.id);
-    const auto committed = csv_files(COLUMBIA_BENCH_RESULTS, exp.id);
-    EXPECT_FALSE(produced.empty()) << exp.id;
-    EXPECT_EQ(names(produced), names(committed))
-        << exp.id << ": CSV set differs from bench_results/";
-    for (const auto& [name, bytes] : produced) {
-      const auto it = committed.find(name);
-      EXPECT_TRUE(it == committed.end() || it->second == bytes)
-          << name << " differs from bench_results/";
-    }
-
-    sim::RunContext ctx;
-    const auto sink = arm_check(ctx);
-    std::string checked;
-    {
-      const sim::RunScope scope(ctx);
-      checked = exp.run_exec(exec).render();
-    }
-    CheckReport rep = sink->take_report();
-
-    EXPECT_TRUE(rep.clean()) << exp.id << ":\n" << rep.render();
-    EXPECT_EQ(plain, checked) << exp.id << ": checked run altered output";
-  });
-  std::filesystem::remove_all(tmp);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 // simfault: seeded fault injection, the retry/timeout loop, degraded-node
 // placement, fault spans, the shared RunOptions parser, and the bench
-// summary schema.
-//
-// COLUMBIA_SIMFAULT_NO_REGISTRY gates out the experiment-registry suites
-// (the sanitizer variant compiles the fault stack directly and does not
-// link col_core).
+// summary schema. The fault ablations and the --faults contract over the
+// registry are held by tests/test_registry.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -26,14 +23,6 @@
 #include "simprof/recorder.hpp"
 
 #include "../bench/bench_json.hpp"
-
-#ifndef COLUMBIA_SIMFAULT_NO_REGISTRY
-#include <cstddef>
-
-#include "common/parallel.hpp"
-#include "core/experiment.hpp"
-#include "core/figures.hpp"
-#endif
 
 namespace columbia {
 namespace {
@@ -456,119 +445,6 @@ TEST(BenchSchema, VersionHelpers) {
   EXPECT_THROW(bench::assert_summary_schema("{\"schema_version\": }"),
                ContractError);
 }
-
-#ifndef COLUMBIA_SIMFAULT_NO_REGISTRY
-
-// --------------------------------------------------------------------------
-// Registry: the fault ablations and the --faults contract end to end.
-// --------------------------------------------------------------------------
-
-/// Numeric cells of one table row ("0.50  33.46  1.089" -> {0.5, ...}).
-std::vector<double> row_numbers(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<double> out;
-  std::string tok;
-  while (is >> tok) {
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(tok, &used);
-      if (used == tok.size()) out.push_back(v);
-    } catch (...) {
-      // non-numeric cell
-    }
-  }
-  return out;
-}
-
-/// Data rows (all-numeric lines) of the `table_index`-th table in `render`.
-std::vector<std::vector<double>> table_rows(const std::string& render,
-                                            int table_index) {
-  std::istringstream is(render);
-  std::string line;
-  int table = -1;
-  std::vector<std::vector<double>> rows;
-  while (std::getline(is, line)) {
-    if (line.rfind("==", 0) == 0) {
-      ++table;
-      continue;
-    }
-    if (table != table_index || line.empty()) continue;
-    auto nums = row_numbers(line);
-    // Data rows carry at least two numeric cells (labels drop out above);
-    // header/separator lines carry none.
-    if (nums.size() >= 2) rows.push_back(std::move(nums));
-  }
-  return rows;
-}
-
-TEST(FaultRegistry, AblationsAreRegistered) {
-  EXPECT_NE(core::find_experiment("ablation-variability"), nullptr);
-  EXPECT_NE(core::find_experiment("ablation-degraded-fabric"), nullptr);
-  const std::string listing = core::registry_listing();
-  EXPECT_NE(listing.find("ablation-variability"), std::string::npos);
-  EXPECT_NE(listing.find("ablation-degraded-fabric"), std::string::npos);
-}
-
-TEST(FaultRegistry, VariabilityCurveIsMonotone) {
-  const auto rows =
-      table_rows(core::ablation_variability().render(), 0);
-  ASSERT_EQ(rows.size(), 5u);
-  // Columns: intensity, min, mean, max, spread, mean slowdown.
-  EXPECT_DOUBLE_EQ(rows[0].back(), 1.0);  // clean baseline
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_GE(rows[i][2], rows[i - 1][2]) << "mean not monotone, row " << i;
-    EXPECT_GE(rows[i].back(), rows[i - 1].back());
-  }
-  EXPECT_GT(rows.back().back(), 1.1);  // full jitter costs >10%
-}
-
-TEST(FaultRegistry, DegradedFabricCurveIsMonotone) {
-  const auto render = core::ablation_degraded_fabric().render();
-  const auto rows = table_rows(render, 0);
-  ASSERT_EQ(rows.size(), 4u);
-  // Columns: fraction, NL4 ms, NL4 slowdown, IB ms, IB slowdown.
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_GE(rows[i][1], rows[i - 1][1]) << "NL4 not monotone, row " << i;
-    EXPECT_GE(rows[i][3], rows[i - 1][3]) << "IB not monotone, row " << i;
-  }
-  EXPECT_GT(rows.back()[2], 1.0);
-  EXPECT_GT(rows.back()[4], 1.0);
-
-  // Placement fallback: avoiding degraded boxes is never slower.
-  const auto placement_rows = table_rows(render, 1);
-  ASSERT_EQ(placement_rows.size(), 2u);
-  EXPECT_LE(placement_rows[1][0], placement_rows[0][0]);
-}
-
-TEST(FaultRegistry, FaultedRunsAreSeedDeterministic) {
-  const auto* exp = core::find_experiment("ablation-variability");
-  ASSERT_NE(exp, nullptr);
-  sim::RunContext ctx;
-  (void)simfault::arm_faults(ctx, simfault::FaultSpec::uniform(9, 0.4));
-  const sim::RunScope scope(ctx);
-  const auto seq1 = exp->run_exec(core::Exec::sequential()).render();
-  const auto seq2 = exp->run_exec(core::Exec::sequential()).render();
-  const auto par = exp->run_exec(core::Exec::parallel(2)).render();
-  EXPECT_EQ(seq1, seq2);
-  EXPECT_EQ(seq1, par);
-}
-
-TEST(FaultRegistry, ZeroIntensityIsByteIdenticalToCleanEverywhere) {
-  // One pool task per experiment, so the sweep uses every host CPU: runs
-  // share nothing, and each armed one has its own RunContext.
-  const auto& registry = core::experiment_registry();
-  common::parallel_for(registry.size(), [&](std::size_t i) {
-    const auto& exp = registry[i];
-    const auto clean = exp.run_exec(core::Exec::sequential()).render();
-    sim::RunContext ctx;
-    (void)simfault::arm_faults(ctx, simfault::FaultSpec::uniform(0, 0.0));
-    const sim::RunScope scope(ctx);
-    const auto faulted = exp.run_exec(core::Exec::sequential()).render();
-    EXPECT_EQ(clean, faulted) << exp.id;
-  });
-}
-
-#endif  // COLUMBIA_SIMFAULT_NO_REGISTRY
 
 }  // namespace
 }  // namespace columbia

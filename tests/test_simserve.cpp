@@ -550,14 +550,20 @@ TEST(ServeStream, EofWithoutShutdownDrainsAndReturnsFalse) {
 TEST(ServeStream, MalformedLinesGetErrorResponses) {
   std::atomic<int> calls{0};
   simserve::Service service(counting_eval(calls));
-  std::istringstream in("{\"op\":\"warp\"}\nnot json\n\n");
+  // A million nested arrays would overflow a recursive parser's stack;
+  // the session must answer with an error and go on serving.
+  std::istringstream in("{\"op\":\"warp\"}\nnot json\n\n" +
+                        std::string(1000000, '[') +
+                        "\n{\"op\":\"ping\"}\n");
   std::ostringstream out;
   simserve::serve_stream(in, out, service);
   const auto lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 2u);  // blank line is ignored, not an error
-  for (const auto& line : lines) {
-    EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos);
+  ASSERT_EQ(lines.size(), 4u);  // blank line is ignored, not an error
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NE(lines[i].find("\"status\":\"error\""), std::string::npos);
   }
+  EXPECT_NE(lines[2].find("nesting deeper than 64 levels"), std::string::npos);
+  EXPECT_EQ(lines[3], "{\"status\":\"pong\"}");
   EXPECT_EQ(calls.load(), 0);
 }
 
