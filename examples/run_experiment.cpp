@@ -6,7 +6,7 @@
 //   $ ./run_experiment table2           # reproduce Table 2
 //   $ ./run_experiment fig6 fig8        # several in one go
 //   $ ./run_experiment --filter ext-    # every id containing "ext-"
-//   $ ./run_experiment --parallel fig5  # scenarios over the thread pool
+//   $ ./run_experiment --jobs 4 fig5    # scenarios over 4 host threads
 //   $ ./run_experiment --check table2   # run under the simcheck analyzer
 //   $ ./run_experiment --faults 42:0.5 fig11
 //                                       # seeded fault injection at
@@ -50,16 +50,6 @@
 
 namespace {
 
-std::string sanitize_id(const std::string& id) {
-  std::string out = id;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
 /// Writes the evaluation's profile artifacts: <id>.trace.json
 /// (chrome://tracing), <id>.gantt.csv, <id>.comm.csv, <id>.profile.json;
 /// renders the roll-up to stderr. Returns false with the unwritable file
@@ -67,9 +57,8 @@ std::string sanitize_id(const std::string& id) {
 bool export_profile(const std::string& id,
                     const columbia::core::EvalResult& result,
                     const std::filesystem::path& dir, std::string& error) {
-  const std::string base = sanitize_id(id);
   const auto write = [&](const char* suffix, const std::string& body) {
-    return columbia::core::write_file(dir / (base + suffix), body, error);
+    return columbia::core::write_file(dir / (id + suffix), body, error);
   };
   if (!write(".profile.json", result.profile_json + "\n") ||
       (result.trace_valid &&
@@ -130,7 +119,9 @@ bool run_one(RunState& state, const std::string& id) {
 
 int main(int argc, char** argv) {
   using namespace columbia::core;
-  RunOptionsParser parser("run_experiment", "[options] [experiment-id...]");
+  RunOptionsParser parser("run_experiment", "[options] [experiment-id...]",
+                          {"--list", "--filter", "--jobs", "--out", "--check",
+                           "--profile", "--faults", "--transport"});
   parser.allow_positional();
   RunOptions opts;
   if (!parser.parse(argc, argv, opts)) return 2;

@@ -82,7 +82,7 @@ class Evaluator {
   ///
   /// `spec.race_explore` is carried in the hash but not acted on here —
   /// core sits below simrace, so ordering exploration belongs to the
-  /// layers that link it (simserve::registry_eval, bench_all).
+  /// layers that link it (simserve::registry_eval, the simrace CLI).
   EvalResult evaluate(const ScenarioSpec& spec,
                       const EvalOptions& opts = {}) const;
 };

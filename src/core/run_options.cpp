@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
+
+#include "common/check.hpp"
 
 namespace columbia::core {
 
@@ -50,81 +53,62 @@ bool parse_fault_arg(const std::string& arg, std::uint64_t& seed,
   return true;
 }
 
-RunOptionsParser::RunOptionsParser(std::string program, std::string usage_tail,
-                                   FlagSet flags)
-    : program_(std::move(program)), usage_tail_(std::move(usage_tail)) {
-  if (flags == FlagSet::kBare) {
-    flags_.push_back({"--help", "", "print this message and exit", "general",
-                      [](const std::string&, RunOptions& o, std::string&) {
-                        o.help = true;
-                        return true;
-                      }});
-    return;
+bool parse_positive_int(const std::string& flag, const std::string& arg,
+                        int& out, std::string& error) {
+  errno = 0;
+  char* end = nullptr;
+  const long n = std::strtol(arg.c_str(), &end, 10);
+  if (errno != 0 || end == arg.c_str() || *end != '\0' || n <= 0 ||
+      n > INT_MAX) {
+    error = flag + " expects a positive integer, got '" + arg + "'";
+    return false;
   }
-  // The shared surface, identical across experiment binaries. Each flag
-  // names its help group; help() renders the groups by subsystem.
-  flags_.push_back({"--list", "", "list registry experiments and exit",
-                    "general",
-                    [](const std::string&, RunOptions& o, std::string&) {
-                      o.list = true;
-                      return true;
-                    }});
-  flags_.push_back(
+  out = static_cast<int>(n);
+  return true;
+}
+
+RunOptionsParser::RunOptionsParser(
+    std::string program, std::string usage_tail,
+    std::initializer_list<std::string_view> shared)
+    : program_(std::move(program)), usage_tail_(std::move(usage_tail)) {
+  // The shared flags. The scenario flags write into RunOptions::spec, the
+  // same ScenarioSpec the simserve JSON schema fills.
+  static const std::vector<Flag> kShared = {
+      {"--list", "", "list registry experiments and exit",
+       [](const std::string&, RunOptions& o, std::string&) {
+         o.list = true;
+         return true;
+       }},
       {"--filter", "<substr>",
        "keep experiments whose id contains <substr> (repeatable, any-of)",
-       "general",
        [](const std::string& v, RunOptions& o, std::string&) {
          o.filters.push_back(v);
          return true;
-       }});
-  flags_.push_back({"--parallel", "",
-                    "run scenario sweeps on the host thread pool", "general",
-                    [](const std::string&, RunOptions& o, std::string&) {
-                      o.exec = Exec::parallel(o.exec.jobs);
-                      return true;
-                    }});
-  flags_.push_back(
-      {"--jobs", "<n>", "worker threads for --parallel (implies it)",
-       "general",
+       }},
+      {"--jobs", "<n>", "run scenario sweeps on <n> host threads",
        [](const std::string& v, RunOptions& o, std::string& err) {
-         errno = 0;
-         char* end = nullptr;
-         const long n = std::strtol(v.c_str(), &end, 10);
-         if (errno != 0 || end == v.c_str() || *end != '\0' || n <= 0) {
-           err = "--jobs expects a positive integer, got '" + v + "'";
-           return false;
-         }
-         o.exec = Exec::parallel(static_cast<int>(n));
+         int n = 0;
+         if (!parse_positive_int("--jobs", v, n, err)) return false;
+         o.exec = Exec::parallel(n);
          return true;
-       }});
-  flags_.push_back({"--out", "<path>", "write outputs under <path>",
-                    "general",
-                    [](const std::string& v, RunOptions& o, std::string&) {
-                      o.out = v;
-                      return true;
-                    }});
-  flags_.push_back({"--help", "", "print this message and exit", "general",
-                    [](const std::string&, RunOptions& o, std::string&) {
-                      o.help = true;
-                      return true;
-                    }});
-  // The scenario surface: these write into RunOptions::spec, the same
-  // ScenarioSpec the simserve JSON schema fills — one source of truth.
-  flags_.push_back({"--check", "",
-                    "run with the simcheck MPI correctness analyzer", "check",
-                    [](const std::string&, RunOptions& o, std::string&) {
-                      o.spec.check = true;
-                      return true;
-                    }});
-  flags_.push_back({"--profile", "",
-                    "run with the simprof critical-path profiler", "profile",
-                    [](const std::string&, RunOptions& o, std::string&) {
-                      o.spec.profile = true;
-                      return true;
-                    }});
-  flags_.push_back(
+       }},
+      {"--out", "<path>", "write outputs under <path>",
+       [](const std::string& v, RunOptions& o, std::string&) {
+         o.out = v;
+         return true;
+       }},
+      {"--check", "", "run with the simcheck MPI correctness analyzer",
+       [](const std::string&, RunOptions& o, std::string&) {
+         o.spec.check = true;
+         return true;
+       }},
+      {"--profile", "", "run with the simprof critical-path profiler",
+       [](const std::string&, RunOptions& o, std::string&) {
+         o.spec.profile = true;
+         return true;
+       }},
       {"--faults", "<seed:intensity>",
-       "inject seeded faults (intensity in [0,1]; 0 = clean run)", "faults",
+       "inject seeded faults (intensity in [0,1]; 0 = clean run)",
        [](const std::string& v, RunOptions& o, std::string& err) {
          if (!parse_fault_arg(v, o.spec.fault_seed, o.spec.fault_intensity,
                               err)) {
@@ -132,11 +116,9 @@ RunOptionsParser::RunOptionsParser(std::string program, std::string usage_tail,
          }
          o.spec.faults = true;
          return true;
-       }});
-  flags_.push_back(
+       }},
       {"--transport", "<event|flow>",
        "network backend: per-hop event queueing or fluid flow solver",
-       "transport",
        [](const std::string& v, RunOptions& o, std::string& err) {
          if (v != "event" && v != "flow") {
            err = "--transport expects 'event' or 'flow', got '" + v + "'";
@@ -144,40 +126,20 @@ RunOptionsParser::RunOptionsParser(std::string program, std::string usage_tail,
          }
          o.spec.transport = v;
          return true;
-       }});
-}
-
-void RunOptionsParser::add_race_flags(bool with_replay) {
-  flags_.push_back(
-      {"--race-explore", "",
-       "explore wildcard-receive orderings for divergent outcomes", "race",
-       [](const std::string&, RunOptions& o, std::string&) {
-         o.spec.race_explore = true;
-         return true;
-       }});
-  flags_.push_back(
+       }},
       {"--max-execs", "<n>",
-       "bound on explored executions per scenario (default 64)", "race",
+       "bound on explored executions per scenario (default 64)",
        [](const std::string& v, RunOptions& o, std::string& err) {
-         errno = 0;
-         char* end = nullptr;
-         const long n = std::strtol(v.c_str(), &end, 10);
-         if (errno != 0 || end == v.c_str() || *end != '\0' || n <= 0) {
-           err = "--max-execs expects a positive integer, got '" + v + "'";
-           return false;
-         }
-         o.spec.max_execs = static_cast<int>(n);
-         return true;
-       }});
-  if (with_replay) {
-    flags_.push_back(
-        {"--replay", "<schedule>",
-         "replay one serialized forcing schedule instead of exploring",
-         "race",
-         [](const std::string& v, RunOptions& o, std::string&) {
-           o.replay = v;
-           return true;
-         }});
+         return parse_positive_int("--max-execs", v, o.spec.max_execs, err);
+       }},
+  };
+  for (const std::string_view name : shared) {
+    const auto it =
+        std::find_if(kShared.begin(), kShared.end(),
+                     [name](const Flag& f) { return f.name == name; });
+    COL_REQUIRE(it != kShared.end(),
+                "not a shared flag: " + std::string(name));
+    flags_.push_back(*it);
   }
 }
 
@@ -185,7 +147,7 @@ void RunOptionsParser::add_flag(
     std::string name, std::string value_name, std::string help,
     std::function<bool(const std::string&, std::string&)> handler) {
   flags_.push_back(
-      {std::move(name), std::move(value_name), std::move(help), program_,
+      {std::move(name), std::move(value_name), std::move(help),
        [handler = std::move(handler)](const std::string& v, RunOptions&,
                                       std::string& err) {
          return handler(v, err);
@@ -207,14 +169,14 @@ bool RunOptionsParser::parse(int argc, const char* const* argv,
       opts.ids.push_back(arg);
       continue;
     }
-    const Flag* flag = nullptr;
-    for (const auto& f : flags_) {
-      if (f.name == arg) {
-        flag = &f;
-        break;
-      }
+    if (arg == "--help") {
+      opts.help = true;
+      continue;
     }
-    if (flag == nullptr) {
+    const auto flag =
+        std::find_if(flags_.begin(), flags_.end(),
+                     [&arg](const Flag& f) { return f.name == arg; });
+    if (flag == flags_.end()) {
       std::fprintf(stderr, "%s: unknown flag '%s' (--help for usage)\n",
                    program_.c_str(), arg.c_str());
       return false;
@@ -241,36 +203,19 @@ bool RunOptionsParser::parse(int argc, const char* const* argv,
 }
 
 std::string RunOptionsParser::help() const {
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const auto& f : flags_) {
+    rows.emplace_back(
+        f.value_name.empty() ? f.name : f.name + " " + f.value_name, f.help);
+  }
+  rows.emplace_back("--help", "print this message and exit");
   std::size_t width = 0;
-  for (const auto& f : flags_) {
-    width = std::max(width, f.name.size() + (f.value_name.empty()
-                                                 ? 0
-                                                 : f.value_name.size() + 1));
-  }
-  // Render flags grouped by subsystem: the shared groups in a fixed order,
-  // then the program-specific extras (group == program name) last.
-  std::vector<std::string> groups = {"general", "check", "profile", "faults",
-                                     "transport", "race"};
-  for (const auto& f : flags_) {
-    if (std::find(groups.begin(), groups.end(), f.group) == groups.end()) {
-      groups.push_back(f.group);
-    }
-  }
+  for (const auto& row : rows) width = std::max(width, row.first.size());
   std::ostringstream os;
-  os << "usage: " << program_ << " " << usage_tail_ << "\n";
-  for (const auto& g : groups) {
-    bool header = false;
-    for (const auto& f : flags_) {
-      if (f.group != g) continue;
-      if (!header) {
-        os << "\n" << (g == "general" ? "options" : g + " options") << ":\n";
-        header = true;
-      }
-      std::string head = f.name;
-      if (!f.value_name.empty()) head += " " + f.value_name;
-      os << "  " << head << std::string(width - head.size() + 2, ' ')
-         << f.help << "\n";
-    }
+  os << "usage: " << program_ << " " << usage_tail_ << "\n\noptions:\n";
+  for (const auto& [head, text] : rows) {
+    os << "  " << head << std::string(width - head.size() + 2, ' ') << text
+       << "\n";
   }
   return os.str();
 }

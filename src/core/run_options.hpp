@@ -1,27 +1,28 @@
 #pragma once
 /// \file run_options.hpp
-/// The shared command-line surface of the experiment binaries.
+/// The shared command-line surface of the columbia binaries.
 ///
-/// `run_experiment` and `bench_all` accept the same core flags — list,
-/// filter, check, profile, parallel/jobs, out, faults — and used to parse
-/// them with two drifting argv loops. `RunOptionsParser` is the single
-/// parser behind both: the shared flags are built in, each binary
-/// registers its extras (`add_flag`), `--help` text is generated from the
-/// table, and unknown flags or malformed values are hard errors.
+/// `RunOptionsParser` is the one argv parser behind run_experiment,
+/// bench_all, simrace, simserve and simlint. One table in run_options.cpp
+/// holds the shared flags; each binary names the ones it acts on, adds
+/// its own (`add_flag`), and gets `--help` generated from the result.
+/// A flag the binary did not name is unknown there, and unknown flags or
+/// malformed values are hard errors, so no binary accepts a flag it
+/// would ignore.
 ///
-/// Since the simserve redesign the parser is a *thin adapter over
-/// ScenarioSpec*: every scenario-affecting shared flag (--check,
-/// --profile, --faults, --transport, --race-explore, --max-execs) writes
-/// straight into `RunOptions::spec`, the same value type
-/// `ScenarioSpec::from_json` fills from a simserve request. One schema
-/// source — a flag without a spec field (or vice versa) cannot exist, so
-/// the CLI and the wire format cannot drift. Binary-level concerns that
-/// never affect result bytes (--list/--filter/--parallel/--jobs/--out,
-/// positionals, --replay) stay on RunOptions itself.
+/// The parser is a thin adapter over ScenarioSpec: every scenario-
+/// affecting shared flag (--check, --profile, --faults, --transport,
+/// --max-execs) writes straight into `RunOptions::spec`, the same value
+/// type `ScenarioSpec::from_json` fills from a simserve request, so the
+/// CLI and the wire format cannot drift. Binary-level concerns that never
+/// affect result bytes (--list/--filter/--jobs/--out, positionals) stay
+/// on RunOptions itself.
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -32,18 +33,17 @@ namespace columbia::core {
 /// Parsed shared flags. Binary-specific flags land in the closures the
 /// binary registered instead.
 struct RunOptions {
-  /// The shared scenario surface: check/profile/faults/transport/race
-  /// flags land here (spec.experiment stays empty — the binary fills it
-  /// per selected id via spec_for()).
+  /// The shared scenario surface: check/profile/faults/transport/
+  /// max-execs land here (spec.experiment stays empty — the binary fills
+  /// it per selected id via spec_for()).
   ScenarioSpec spec;
 
-  Exec exec;                  ///< --parallel / --jobs N (jobs implies parallel)
+  Exec exec;                  ///< --jobs N selects a parallel sweep
   bool list = false;          ///< --list
   bool help = false;          ///< --help (help text already printed)
   std::string out;            ///< --out <path>
   std::vector<std::string> filters;  ///< --filter <substr>, repeatable
   std::vector<std::string> ids;      ///< positional arguments, argv order
-  std::string replay;         ///< --replay <schedule-file>, simrace only
 
   /// The parsed shared surface bound to one registry experiment: a copy
   /// of `spec` with `experiment = id`, ready for core::Evaluator.
@@ -63,35 +63,28 @@ struct RunOptions {
 bool parse_fault_arg(const std::string& arg, std::uint64_t& seed,
                      double& intensity, std::string& error);
 
+/// Parses the whole of `arg` as a positive int ("3x", "2.5" and "0" are
+/// rejected). Returns false with "<flag> expects a positive integer, got
+/// '<arg>'" in `error`.
+bool parse_positive_int(const std::string& flag, const std::string& arg,
+                        int& out, std::string& error);
+
 class RunOptionsParser {
  public:
-  /// Which flags the parser starts with. Experiment binaries
-  /// (run_experiment, bench_all) share the full run surface; tool
-  /// binaries (simlint) want only `--help` plus what they register —
-  /// same table-driven parsing, generated help, and hard-error policy.
-  enum class FlagSet {
-    kExperiment,  ///< --list/--filter/--check/--profile/--parallel/… + --help
-    kBare,        ///< --help only
-  };
-
   /// `usage_tail` follows the program name in the usage line, e.g.
-  /// "[options] [experiment-id...]".
+  /// "[options] [experiment-id...]". `shared` names the shared flags the
+  /// binary acts on, from --list --filter --jobs --out --check --profile
+  /// --faults --transport --max-execs; naming any other is a contract
+  /// error. --help is always accepted.
   RunOptionsParser(std::string program, std::string usage_tail,
-                   FlagSet flags = FlagSet::kExperiment);
+                   std::initializer_list<std::string_view> shared = {});
 
   /// Registers a binary-specific flag after the shared ones. Empty
   /// `value_name` = boolean flag (handler receives ""). The handler
-  /// returns false (after filling `error`) to reject the value. The flag
-  /// renders in the help's trailing program-specific group.
+  /// returns false (after filling `error`) to reject the value.
   void add_flag(std::string name, std::string value_name, std::string help,
                 std::function<bool(const std::string& value,
                                    std::string& error)> handler);
-
-  /// Registers the shared race-exploration flags (--race-explore,
-  /// --max-execs, and — when `with_replay` — --replay <schedule-file>)
-  /// under a "race" help group. simrace exposes all three; bench_all
-  /// exposes the first two for its --race-explore summary block.
-  void add_race_flags(bool with_replay = true);
 
   /// Allows positional arguments (collected into RunOptions::ids);
   /// without this call a positional argument is a hard error.
@@ -103,8 +96,8 @@ class RunOptionsParser {
   /// stderr.
   bool parse(int argc, const char* const* argv, RunOptions& opts) const;
 
-  /// Generated usage text, grouped by subsystem (general, then
-  /// check/profile/faults/transport, then the program-specific extras).
+  /// Generated usage text: the named shared flags, the binary's own, then
+  /// --help.
   std::string help() const;
 
  private:
@@ -112,7 +105,6 @@ class RunOptionsParser {
     std::string name;
     std::string value_name;  // empty = boolean
     std::string help;
-    std::string group;       // help section: "general", "check", ...
     std::function<bool(const std::string& value, RunOptions& opts,
                        std::string& error)>
         apply;

@@ -14,8 +14,8 @@
 ///
 /// The spec is the single schema source for every front end:
 ///  * `RunOptionsParser` fills one from argv (the shared
-///    --check/--profile/--faults/--transport/--race flags write straight
-///    into `RunOptions::spec`), and
+///    --check/--profile/--faults/--transport/--max-execs flags write
+///    straight into `RunOptions::spec`), and
 ///  * `from_json` fills one from a simserve request,
 /// so CLI flags and wire requests cannot drift. `from_json` hard-errors
 /// on unknown keys, exactly as the parser hard-errors on unknown flags.

@@ -2,8 +2,8 @@
 /// \file run_context.hpp
 /// `RunContext` — what one run arms, installed per host thread.
 ///
-/// A run (one core::Evaluator::evaluate, one simrace execution, one
-/// bench_all pass, one test body) builds a RunContext value and installs
+/// A run (one core::Evaluator::evaluate, one simrace execution, one test
+/// body) builds a RunContext value and installs
 /// it with a `RunScope` on the thread that drives it. The construction
 /// sites that used to read process-global slots read the installed
 /// context instead:

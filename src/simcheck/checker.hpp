@@ -23,7 +23,7 @@
 /// Two ways to use it:
 ///   * standalone (tests): `Checker c; c.attach(world); world.run(...);`
 ///     then inspect `c.report()`;
-///   * per run (`--check` on run_experiment / bench_all / simserve):
+///   * per run (`--check` on run_experiment / simserve):
 ///     `arm_check(ctx)` makes every World constructed under the
 ///     sim::RunContext own a checker and also validates every OpenMP
 ///     region evaluation; the returned CheckSink collects the merged

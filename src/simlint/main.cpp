@@ -13,9 +13,9 @@
 //                                     # write the ROADMAP-item-2 certificate
 //   $ ./simlint --list-rules                        # the rule catalogue
 //
-// Flags parse through core::RunOptionsParser (the same table-driven
-// parser behind run_experiment and bench_all, here with the bare flag
-// set): unknown flags are hard errors and --help is generated.
+// Flags parse through core::RunOptionsParser (the table-driven parser
+// behind every columbia binary, here naming none of the shared flags):
+// unknown flags are hard errors and --help is generated.
 //
 // Exit status: 0 clean, 1 unsuppressed findings (or unreadable inputs),
 // 2 usage error. Directories named tests/simlint_fixtures are skipped
@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   std::string write_baseline;
   std::string pdes_readiness_path;
 
-  core::RunOptionsParser parser("simlint", "[options] [path...]",
-                                core::RunOptionsParser::FlagSet::kBare);
+  core::RunOptionsParser parser("simlint", "[options] [path...]");
   parser.allow_positional();
   parser.add_flag("--root", "<dir>",
                   "project root: paths resolve and findings report "

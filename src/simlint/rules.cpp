@@ -609,9 +609,8 @@ class Analyzer {
   }
 
   // ---- wildcard-order-sensitive ------------------------------------------
-  /// Brace span of a function definition, for naming flagged sites (the
-  /// quoted name is what simrace's static front end keys its experiment
-  /// prioritization on) and for scoping the variable dataflow.
+  /// Brace span of a function definition, for naming flagged sites and
+  /// for scoping the variable dataflow.
   struct FnSpan {
     std::string name;
     std::size_t body_open;

@@ -42,8 +42,8 @@
 ///                               one cross-TU) with no deterministic
 ///                               tie-break — the branch taken depends on
 ///                               arrival order, which a real machine does
-///                               not fix. These sites are what simrace's
-///                               dynamic explorer prioritizes.
+///                               not fix. simrace explores the orderings
+///                               such a site could see.
 ///
 /// The engine is two-pass: `index_file` collects cross-file facts (names
 /// of Task/CoTask-returning functions, observer-derived classes, and the

@@ -21,7 +21,7 @@
 /// Two ways to use it:
 ///   * standalone (tests): `Profiler p; p.attach(world); world.run(...);`
 ///     then inspect `p.profile()`;
-///   * per run (`--profile` on run_experiment / bench_all / simserve):
+///   * per run (`--profile` on run_experiment / simserve):
 ///     `arm_profile(ctx)` adds an observer factory to the sim::RunContext
 ///     (composing with simcheck's `--check` via the World's fan-out), every
 ///     World constructed under it owns a profiler, and the returned
@@ -47,8 +47,8 @@ namespace columbia::simprof {
 
 struct ProfileOptions {
   /// Keep a representative world's full span timeline + comm matrix for
-  /// export (run_experiment --profile). bench_all turns this off: it only
-  /// embeds the roll-up report.
+  /// export (run_experiment --profile --out). core::Evaluator turns this
+  /// off unless asked: simserve only ships the roll-up report.
   bool retain_timeline = true;
   std::size_t max_spans = TraceRecorder::kDefaultMaxSpans;
   std::size_t max_ops = std::size_t{1} << 20;
@@ -109,7 +109,7 @@ struct ProfileReport {
   void merge(const ProfileReport& other, std::size_t max_worlds);
   /// Human-readable summary: one line of stats, then one block per world.
   std::string render() const;
-  /// JSON object (the shape bench_all embeds under "profile").
+  /// JSON object (the <id>.profile.json run_experiment writes).
   std::string to_json(int indent = 0) const;
 };
 

@@ -2,13 +2,10 @@
 //
 //   $ ./simrace --list                     # registry listing
 //   $ ./simrace fig5                       # explore fig5's orderings
-//   $ ./simrace --race-explore --max-execs 32 --filter ext-
+//   $ ./simrace --max-execs 32 --filter ext-
 //   $ ./simrace --replay race.schedule fig5
 //                                          # re-run one forcing schedule;
 //                                          # stdout is byte-deterministic
-//   $ ./simrace --src-root .. fig5         # run the simlint cross-TU pass
-//                                          # first; wildcard-order-sensitive
-//                                          # sites explore first
 //
 // Exploration replays each selected experiment sequentially, forcing every
 // admissible alternative sender at each wildcard-receive decision (simmpi
@@ -17,12 +14,6 @@
 // schedule is printed (and written under --out as <id>.race<N>.schedule)
 // for `--replay`. Exit status: 0 = no divergence, 1 = at least one
 // confirmed race, 2 = usage/setup error.
-//
-// With --src-root, the simlint project index's cross-TU dataflow pass runs
-// first and its wildcard-order-sensitive findings are printed as static
-// hints; experiments whose id or title mentions a flagged function explore
-// before the rest (name-based mapping — static sites do not carry their
-// dynamic scenario, so this is a prioritization heuristic, not a filter).
 
 #include <cstdio>
 #include <filesystem>
@@ -34,7 +25,6 @@
 #include "core/experiment.hpp"
 #include "core/run_options.hpp"
 #include "machine/transport.hpp"
-#include "simlint/driver.hpp"
 #include "simrace/explorer.hpp"
 #include "simrace/schedule.hpp"
 
@@ -42,16 +32,6 @@ namespace {
 
 using columbia::core::Exec;
 using columbia::core::Experiment;
-
-std::string sanitize_id(const std::string& id) {
-  std::string out = id;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) c = '_';
-  }
-  return out;
-}
 
 bool read_file(const std::string& path, std::string& out, std::string& error) {
   std::ifstream is(path, std::ios::binary);
@@ -65,67 +45,19 @@ bool read_file(const std::string& path, std::string& out, std::string& error) {
   return true;
 }
 
-/// The function a wildcard-order-sensitive finding names, e.g. the
-/// `pick_winner` of "function 'pick_winner' branches on ..." ("" if the
-/// message carries no quoted name).
-std::string quoted_name(const std::string& message) {
-  const auto open = message.find('\'');
-  if (open == std::string::npos) return "";
-  const auto close = message.find('\'', open + 1);
-  if (close == std::string::npos) return "";
-  return message.substr(open + 1, close - open - 1);
-}
-
-/// Static front end: run the simlint cross-TU pass over `src_root` and
-/// return the functions flagged wildcard-order-sensitive.
-std::vector<columbia::simlint::Finding> static_hints(
-    const std::string& src_root) {
-  columbia::simlint::DriverOptions opts;
-  opts.root = src_root;
-  auto result = columbia::simlint::run(opts);
-  std::vector<columbia::simlint::Finding> hints;
-  for (auto& f : result.findings) {
-    if (f.rule == "wildcard-order-sensitive") hints.push_back(std::move(f));
-  }
-  return hints;
-}
-
-/// Stable-partitions experiments so those whose id or title mentions a
-/// flagged function come first.
-void prioritize(std::vector<const Experiment*>& exps,
-                const std::vector<columbia::simlint::Finding>& hints) {
-  if (hints.empty()) return;
-  std::vector<const Experiment*> hot;
-  std::vector<const Experiment*> cold;
-  for (const auto* e : exps) {
-    bool flagged = false;
-    for (const auto& h : hints) {
-      const std::string name = quoted_name(h.message);
-      if (!name.empty() && (e->id.find(name) != std::string::npos ||
-                            e->title.find(name) != std::string::npos)) {
-        flagged = true;
-        break;
-      }
-    }
-    (flagged ? hot : cold).push_back(e);
-  }
-  exps = std::move(hot);
-  exps.insert(exps.end(), cold.begin(), cold.end());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace columbia;
 
-  core::RunOptionsParser parser("simrace", "[options] [experiment-id...]");
-  parser.add_race_flags();
-  std::string src_root;
-  parser.add_flag("--src-root", "<path>",
-                  "run the simlint wildcard-order-sensitive pass over "
-                  "<path> and explore flagged sites first",
-                  [&src_root](const std::string& v, std::string&) {
-                    src_root = v;
+  core::RunOptionsParser parser(
+      "simrace", "[options] [experiment-id...]",
+      {"--list", "--filter", "--out", "--transport", "--max-execs"});
+  std::string replay;
+  parser.add_flag("--replay", "<schedule>",
+                  "replay one serialized forcing schedule instead of exploring",
+                  [&replay](const std::string& v, std::string&) {
+                    replay = v;
                     return true;
                   });
   parser.allow_positional();
@@ -184,12 +116,12 @@ int main(int argc, char** argv) {
   }
 
   // Exploration keys schedules by World construction order, so scenarios
-  // always run sequentially here regardless of --parallel.
+  // always run sequentially here.
   auto scenario_of = [](const Experiment* exp) -> simrace::RaceScenario {
     return [exp] { return exp->run_exec(Exec::sequential()).render(); };
   };
 
-  if (!opts.replay.empty()) {
+  if (!replay.empty()) {
     if (selected.size() != 1) {
       std::fprintf(stderr,
                    "simrace: --replay takes exactly one experiment id\n");
@@ -197,7 +129,7 @@ int main(int argc, char** argv) {
     }
     std::string text;
     std::string err;
-    if (!read_file(opts.replay, text, err)) {
+    if (!read_file(replay, text, err)) {
       std::fprintf(stderr, "simrace: %s\n", err.c_str());
       return 2;
     }
@@ -218,21 +150,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --race-explore is the default action; the flag exists so scripted
-  // callers (and bench_all) can say what they mean.
-  if (!src_root.empty()) {
-    const auto hints = static_hints(src_root);
-    std::fprintf(stderr,
-                 "simrace: static pass: %zu wildcard-order-sensitive "
-                 "site(s)\n",
-                 hints.size());
-    for (const auto& h : hints) {
-      std::fprintf(stderr, "  %s:%d: %s\n", h.file.c_str(), h.line,
-                   h.message.c_str());
-    }
-    prioritize(selected, hints);
-  }
-
   if (!opts.out.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opts.out, ec);
@@ -250,9 +167,9 @@ int main(int argc, char** argv) {
     any_race = any_race || result.raced();
     if (!opts.out.empty()) {
       for (std::size_t i = 0; i < result.divergences.size(); ++i) {
-        const auto path = std::filesystem::path(opts.out) /
-                          (sanitize_id(exp->id) + ".race" +
-                           std::to_string(i) + ".schedule");
+        const auto path =
+            std::filesystem::path(opts.out) /
+            (exp->id + ".race" + std::to_string(i) + ".schedule");
         std::ofstream os(path, std::ios::binary);
         os << result.divergences[i].schedule.serialize();
       }

@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
   int port = 7077;
   bool use_stdin = false;
   int jobs = 0;
-  core::RunOptionsParser parser("simserve", "[options]",
-                                core::RunOptionsParser::FlagSet::kBare);
+  core::RunOptionsParser parser("simserve", "[options]");
   parser.add_flag("--port", "<n>",
                   "TCP port to listen on, 127.0.0.1 only (0 = ephemeral; "
                   "default 7077)",
@@ -58,14 +57,7 @@ int main(int argc, char** argv) {
   parser.add_flag("--jobs", "<n>",
                   "evaluation worker threads (default: host CPUs)",
                   [&jobs](const std::string& v, std::string& error) {
-                    char* end = nullptr;
-                    const long n = std::strtol(v.c_str(), &end, 10);
-                    if (end == v.c_str() || *end != '\0' || n < 1) {
-                      error = "--jobs expects a positive integer";
-                      return false;
-                    }
-                    jobs = static_cast<int>(n);
-                    return true;
+                    return core::parse_positive_int("--jobs", v, jobs, error);
                   });
   core::RunOptions opts;
   if (!parser.parse(argc, argv, opts)) return 2;

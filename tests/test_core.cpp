@@ -33,10 +33,16 @@ TEST(Registry, CoversEveryPaperArtifact) {
   EXPECT_EQ(paper_artifact_count(), 14);
 }
 
+// Ids name output files (CSVs, profile artifacts, race schedules) as they
+// are, so they stay within [a-z0-9-].
 TEST(Registry, IdsAreUniqueAndRunnable) {
   std::set<std::string> seen;
   for (const auto& e : experiment_registry()) {
     EXPECT_TRUE(seen.insert(e.id).second) << "duplicate id " << e.id;
+    EXPECT_FALSE(e.id.empty());
+    EXPECT_EQ(e.id.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-"),
+              std::string::npos)
+        << e.id;
     EXPECT_TRUE(static_cast<bool>(e.run_exec)) << e.id;
     EXPECT_FALSE(e.paper_ref.empty()) << e.id;
   }

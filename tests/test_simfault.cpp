@@ -1,7 +1,7 @@
 // simfault: seeded fault injection, the retry/timeout loop, degraded-node
-// placement, fault spans, the shared RunOptions parser, and the bench
-// summary schema. The fault ablations and the --faults contract over the
-// registry are held by tests/test_registry.cpp.
+// placement, fault spans, and the shared RunOptions parser. The fault
+// ablations and the --faults contract over the registry are held by
+// tests/test_registry.cpp.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +21,6 @@
 #include "simfault/schedule.hpp"
 #include "simmpi/world.hpp"
 #include "simprof/recorder.hpp"
-
-#include "../bench/bench_json.hpp"
 
 namespace columbia {
 namespace {
@@ -54,8 +52,26 @@ TEST(RunOptions, ParseFaultArg) {
   }
 }
 
+TEST(RunOptions, ParsePositiveInt) {
+  int n = 0;
+  std::string error;
+  EXPECT_TRUE(core::parse_positive_int("--repeat", "3", n, error));
+  EXPECT_EQ(n, 3);
+  for (const char* bad : {"", "3x", "2.5", "0", "-1", "x3", "99999999999"}) {
+    error.clear();
+    EXPECT_FALSE(core::parse_positive_int("--repeat", bad, n, error)) << bad;
+    EXPECT_EQ(error, std::string("--repeat expects a positive integer, got '") +
+                         bad + "'");
+  }
+  EXPECT_EQ(n, 3);
+}
+
+/// A parser naming every shared flag.
 core::RunOptionsParser test_parser() {
-  return core::RunOptionsParser("test_bin", "[options] [id...]");
+  return core::RunOptionsParser(
+      "test_bin", "[options] [id...]",
+      {"--list", "--filter", "--jobs", "--out", "--check", "--profile",
+       "--faults", "--transport", "--max-execs"});
 }
 
 bool parse_argv(const core::RunOptionsParser& parser,
@@ -70,7 +86,8 @@ TEST(RunOptions, SharedFlags) {
   core::RunOptions opts;
   ASSERT_TRUE(parse_argv(parser,
                          {"--filter", "ext-", "--check", "--profile",
-                          "--faults", "7:0.25", "--out", "dir", "fig5"},
+                          "--faults", "7:0.25", "--out", "dir",
+                          "--transport", "flow", "--max-execs", "5", "fig5"},
                          opts));
   ASSERT_EQ(opts.filters.size(), 1u);
   EXPECT_EQ(opts.filters[0], "ext-");
@@ -79,6 +96,8 @@ TEST(RunOptions, SharedFlags) {
   EXPECT_TRUE(opts.spec.faults);
   EXPECT_EQ(opts.spec.fault_seed, 7u);
   EXPECT_DOUBLE_EQ(opts.spec.fault_intensity, 0.25);
+  EXPECT_EQ(opts.spec.transport, "flow");
+  EXPECT_EQ(opts.spec.max_execs, 5);
   EXPECT_EQ(opts.out, "dir");
   ASSERT_EQ(opts.ids.size(), 1u);
   EXPECT_EQ(opts.ids[0], "fig5");
@@ -103,7 +122,40 @@ TEST(RunOptions, HardErrors) {
   EXPECT_FALSE(parse_argv(parser, {"--faults"}, opts));       // missing value
   EXPECT_FALSE(parse_argv(parser, {"--faults", "bad"}, opts));
   EXPECT_FALSE(parse_argv(parser, {"--jobs", "0"}, opts));
+  EXPECT_FALSE(parse_argv(parser, {"--jobs", "3x"}, opts));
+  EXPECT_FALSE(parse_argv(parser, {"--transport", "warp"}, opts));
   EXPECT_FALSE(parse_argv(parser, {"positional"}, opts));  // not allowed
+}
+
+// --jobs N alone selects a parallel sweep; --parallel is no flag at all,
+// in the parser or in the shared table.
+TEST(RunOptions, ParallelIsUnknown) {
+  auto parser = test_parser();
+  core::RunOptions opts;
+  EXPECT_FALSE(parse_argv(parser, {"--parallel"}, opts));
+  EXPECT_EQ(opts.exec.mode, core::Exec::Mode::Sequential);
+  EXPECT_THROW(core::RunOptionsParser("test_bin", "", {"--parallel"}),
+               ContractError);
+}
+
+// A binary accepts only the shared flags it names: one built without
+// --check rejects it rather than ignoring it.
+TEST(RunOptions, UnnamedSharedFlagIsRejected) {
+  const core::RunOptionsParser parser("test_bin", "[options]",
+                                      {"--list", "--jobs"});
+  core::RunOptions opts;
+  for (const char* flag : {"--check", "--profile", "--filter", "--out",
+                           "--max-execs", "--transport", "--faults"}) {
+    EXPECT_FALSE(parse_argv(parser, {flag}, opts)) << flag;
+  }
+  EXPECT_FALSE(opts.spec.check);
+  ASSERT_TRUE(parse_argv(parser, {"--list", "--jobs", "2"}, opts));
+  EXPECT_TRUE(opts.list);
+  EXPECT_EQ(opts.exec.jobs, 2);
+
+  const std::string help = parser.help();
+  EXPECT_NE(help.find("--jobs"), std::string::npos);
+  EXPECT_EQ(help.find("--check"), std::string::npos);
 }
 
 TEST(RunOptions, GeneratedHelpListsSharedAndCustomFlags) {
@@ -116,10 +168,13 @@ TEST(RunOptions, GeneratedHelpListsSharedAndCustomFlags) {
                   });
   const std::string help = parser.help();
   for (const char* flag : {"--list", "--filter", "--check", "--profile",
-                           "--parallel", "--jobs", "--out", "--faults",
-                           "--repeat", "--help"}) {
+                           "--jobs", "--out", "--faults", "--transport",
+                           "--max-execs", "--repeat", "--help"}) {
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
   }
+  EXPECT_EQ(help.find("--parallel"), std::string::npos);
+  // --help is listed last, after the binary's own flags.
+  EXPECT_LT(help.find("--repeat"), help.find("--help"));
   core::RunOptions opts;
   ASSERT_TRUE(parse_argv(parser, {"--repeat", "4"}, opts));
   EXPECT_TRUE(custom);
@@ -427,23 +482,6 @@ TEST(FaultSpans, FaultWindowsLandInTheSpanSink) {
   // The chrome export gives faults their own process row.
   const std::string json = recorder.chrome_json();
   EXPECT_NE(json.find("faults (by node)"), std::string::npos);
-}
-
-// --------------------------------------------------------------------------
-// Bench summary schema.
-// --------------------------------------------------------------------------
-
-TEST(BenchSchema, VersionHelpers) {
-  EXPECT_EQ(bench::summary_schema_version("{\n  \"host_cpus\": 2\n}"), 1);
-  EXPECT_EQ(bench::summary_schema_version("{\"schema_version\": 2}"), 2);
-  EXPECT_EQ(bench::summary_schema_version("{\"schema_version\": }"), 0);
-
-  EXPECT_NO_THROW(bench::assert_summary_schema("{\"schema_version\": 2}"));
-  EXPECT_NO_THROW(bench::assert_summary_schema("{\"host_cpus\": 2}"));
-  EXPECT_THROW(bench::assert_summary_schema("{\"schema_version\": 99}"),
-               ContractError);
-  EXPECT_THROW(bench::assert_summary_schema("{\"schema_version\": }"),
-               ContractError);
 }
 
 }  // namespace

@@ -164,7 +164,8 @@ TEST(SpecJson, ValidationHardErrors) {
 // One schema, two front ends: flags parsed by RunOptionsParser must bind
 // to the same spec (same hash) as the equivalent JSON request.
 TEST(SpecJson, CliAndJsonAgree) {
-  core::RunOptionsParser parser("test", "[options]");
+  core::RunOptionsParser parser("test", "[options]",
+                                {"--check", "--faults", "--transport"});
   parser.allow_positional();
   core::RunOptions opts;
   const char* argv[] = {"test",    "--check",     "--faults",
