@@ -40,9 +40,11 @@
 // CSV or profile file that cannot be written, or — with --check — any
 // communication-correctness diagnostic.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
@@ -144,7 +146,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  RunState state{opts, Evaluator(), out_dir, {}, false};
+  // Each selected id runs once, in first-named order: positional ids in
+  // argv order, then the ids any --filter matches, in registry order.
+  std::vector<std::string> selected;
+  const auto select = [&selected](const std::string& id) {
+    if (std::find(selected.begin(), selected.end(), id) == selected.end()) {
+      selected.push_back(id);
+    }
+  };
   for (const auto& id : opts.ids) {
     if (find_experiment(id) == nullptr) {
       std::fprintf(stderr, "unknown experiment id: %s (run with --list "
@@ -152,20 +161,26 @@ int main(int argc, char** argv) {
                    id.c_str());
       return 1;
     }
-    if (!run_one(state, id)) return 1;
+    select(id);
   }
+  const auto& registry = experiment_registry();
   for (const auto& needle : opts.filters) {
-    int matched = 0;
-    for (const auto& e : experiment_registry()) {
-      if (e.id.find(needle) == std::string::npos) continue;
-      ++matched;
-      if (!run_one(state, e.id)) return 1;
-    }
-    if (matched == 0) {
+    if (std::none_of(registry.begin(), registry.end(), [&](const auto& e) {
+          return e.id.find(needle) != std::string::npos;
+        })) {
       std::fprintf(stderr, "--filter %s matched no experiment ids\n",
                    needle.c_str());
       return 1;
     }
+  }
+  if (!opts.filters.empty()) {
+    for (const auto& e : registry) {
+      if (opts.matches_filter(e.id)) select(e.id);
+    }
+  }
+  RunState state{opts, Evaluator(), out_dir, {}, false};
+  for (const auto& id : selected) {
+    if (!run_one(state, id)) return 1;
   }
   if (opts.spec.faults) {
     const auto& stats = state.fault_stats;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file hash.hpp
-/// FNV-1a 64, the repo's one fingerprint of bytes: ScenarioSpec hashes,
-/// simrace outcome fingerprints and the committed registry digest all
-/// call it, so the same bytes hash to the same value everywhere.
+/// FNV-1a 64, the repo's one fingerprint of bytes: ScenarioSpec hashes
+/// and the committed registry digest both call it, so the same bytes hash
+/// to the same value everywhere.
 
 #include <cstdint>
 #include <string>

@@ -79,10 +79,6 @@ struct EvalResult {
 class Evaluator {
  public:
   /// Evaluates `spec` and returns the result. Never throws.
-  ///
-  /// `spec.race_explore` is carried in the hash but not acted on here —
-  /// core sits below simrace, so ordering exploration belongs to the
-  /// layers that link it (simserve::registry_eval, the simrace CLI).
   EvalResult evaluate(const ScenarioSpec& spec,
                       const EvalOptions& opts = {}) const;
 };

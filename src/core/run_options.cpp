@@ -127,11 +127,6 @@ RunOptionsParser::RunOptionsParser(
          o.spec.transport = v;
          return true;
        }},
-      {"--max-execs", "<n>",
-       "bound on explored executions per scenario (default 64)",
-       [](const std::string& v, RunOptions& o, std::string& err) {
-         return parse_positive_int("--max-execs", v, o.spec.max_execs, err);
-       }},
   };
   for (const std::string_view name : shared) {
     const auto it =

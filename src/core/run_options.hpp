@@ -3,7 +3,7 @@
 /// The shared command-line surface of the columbia binaries.
 ///
 /// `RunOptionsParser` is the one argv parser behind run_experiment,
-/// bench_all, simrace, simserve and simlint. One table in run_options.cpp
+/// bench_all, simserve and simlint. One table in run_options.cpp
 /// holds the shared flags; each binary names the ones it acts on, adds
 /// its own (`add_flag`), and gets `--help` generated from the result.
 /// A flag the binary did not name is unknown there, and unknown flags or
@@ -11,10 +11,10 @@
 /// would ignore.
 ///
 /// The parser is a thin adapter over ScenarioSpec: every scenario-
-/// affecting shared flag (--check, --profile, --faults, --transport,
-/// --max-execs) writes straight into `RunOptions::spec`, the same value
-/// type `ScenarioSpec::from_json` fills from a simserve request, so the
-/// CLI and the wire format cannot drift. Binary-level concerns that never
+/// affecting shared flag (--check, --profile, --faults, --transport)
+/// writes straight into `RunOptions::spec`, the same value type
+/// `ScenarioSpec::from_json` fills from a simserve request, so the CLI
+/// and the wire format cannot drift. Binary-level concerns that never
 /// affect result bytes (--list/--filter/--jobs/--out, positionals) stay
 /// on RunOptions itself.
 
@@ -33,9 +33,9 @@ namespace columbia::core {
 /// Parsed shared flags. Binary-specific flags land in the closures the
 /// binary registered instead.
 struct RunOptions {
-  /// The shared scenario surface: check/profile/faults/transport/
-  /// max-execs land here (spec.experiment stays empty — the binary fills
-  /// it per selected id via spec_for()).
+  /// The shared scenario surface: check/profile/faults/transport land
+  /// here (spec.experiment stays empty — the binary fills it per selected
+  /// id via spec_for()).
   ScenarioSpec spec;
 
   Exec exec;                  ///< --jobs N selects a parallel sweep
@@ -74,8 +74,8 @@ class RunOptionsParser {
   /// `usage_tail` follows the program name in the usage line, e.g.
   /// "[options] [experiment-id...]". `shared` names the shared flags the
   /// binary acts on, from --list --filter --jobs --out --check --profile
-  /// --faults --transport --max-execs; naming any other is a contract
-  /// error. --help is always accepted.
+  /// --faults --transport; naming any other is a contract error. --help
+  /// is always accepted.
   RunOptionsParser(std::string program, std::string usage_tail,
                    std::initializer_list<std::string_view> shared = {});
 

@@ -17,8 +17,6 @@ std::string ScenarioSpec::canonical_json() const {
   out += std::string(",\"faults\":") + (faults ? "true" : "false");
   out += ",\"fault_seed\":" + std::to_string(fault_seed);
   out += ",\"fault_intensity\":" + json::number_to_string(fault_intensity);
-  out += std::string(",\"race_explore\":") + (race_explore ? "true" : "false");
-  out += ",\"max_execs\":" + std::to_string(max_execs);
   out += "}";
   return out;
 }
@@ -114,18 +112,6 @@ bool ScenarioSpec::from_json(const std::string& text, ScenarioSpec& out,
         return false;
       }
       spec.fault_intensity = intensity;
-    } else if (key == "race_explore") {
-      if (!expect_bool(value, "race_explore", spec.race_explore, error)) {
-        return false;
-      }
-    } else if (key == "max_execs") {
-      double n = 0.0;
-      if (!expect_number(value, "max_execs", n, error)) return false;
-      if (n < 1.0 || n != static_cast<double>(static_cast<int>(n))) {
-        error = "spec field \"max_execs\" must be a positive integer";
-        return false;
-      }
-      spec.max_execs = static_cast<int>(n);
     } else {
       // The JSON twin of the CLI's unknown-flag hard error: a field this
       // schema does not know cannot be silently dropped, or specs would

@@ -5,17 +5,16 @@
 /// Everything that can change the *bytes* of an experiment's report (or
 /// the analyzer artifacts riding along) lives here: the registry
 /// experiment id, the network transport, the analyzer toggles
-/// (check/profile), the fault spec, the race-exploration options, and a
-/// free-form client label. Execution policy (sequential vs host-parallel,
-/// job counts) is deliberately *not* part of the spec: reports are
-/// byte-identical across Exec policies, so the spec is exactly a cache
-/// key and the Exec is exactly a scheduling decision (see
-/// core::Evaluator / simserve).
+/// (check/profile), the fault spec, and a free-form client label.
+/// Execution policy (sequential vs host-parallel, job counts) is
+/// deliberately *not* part of the spec: reports are byte-identical across
+/// Exec policies, so the spec is exactly a cache key and the Exec is
+/// exactly a scheduling decision (see core::Evaluator / simserve).
 ///
 /// The spec is the single schema source for every front end:
 ///  * `RunOptionsParser` fills one from argv (the shared
-///    --check/--profile/--faults/--transport/--max-execs flags write
-///    straight into `RunOptions::spec`), and
+///    --check/--profile/--faults/--transport flags write straight into
+///    `RunOptions::spec`), and
 ///  * `from_json` fills one from a simserve request,
 /// so CLI flags and wire requests cannot drift. `from_json` hard-errors
 /// on unknown keys, exactly as the parser hard-errors on unknown flags.
@@ -53,9 +52,6 @@ struct ScenarioSpec {
   std::uint64_t fault_seed = 0;
   double fault_intensity = 0.0;  ///< in [0, 1]
 
-  bool race_explore = false;  ///< simrace wildcard-ordering exploration
-  int max_execs = 64;         ///< exploration budget (race_explore only)
-
   bool operator==(const ScenarioSpec& other) const = default;
 
   /// Fully-elaborated canonical rendering: fixed key order, every field
@@ -69,10 +65,10 @@ struct ScenarioSpec {
   std::string hash_hex() const;
 
   /// Parses a spec from a JSON object. Strict: unknown keys, wrong types,
-  /// a missing/empty "experiment", an unknown "transport", an out-of-range
-  /// "fault_intensity", or a non-positive "max_execs" are hard errors,
-  /// mirroring the CLI parser's unknown-flag policy. Absent optional keys
-  /// keep their defaults.
+  /// a missing/empty "experiment", an unknown "transport", or an
+  /// out-of-range "fault_intensity" are hard errors, mirroring the CLI
+  /// parser's unknown-flag policy. Absent optional keys keep their
+  /// defaults.
   static bool from_json(const std::string& text, ScenarioSpec& out,
                         std::string& error);
 };

@@ -2,18 +2,15 @@
 /// \file run_context.hpp
 /// `RunContext` — what one run arms, installed per host thread.
 ///
-/// A run (one core::Evaluator::evaluate, one simrace execution, one test
-/// body) builds a RunContext value and installs
-/// it with a `RunScope` on the thread that drives it. The construction
-/// sites that used to read process-global slots read the installed
-/// context instead:
+/// A run (one core::Evaluator::evaluate, one test body) builds a
+/// RunContext value and installs it with a `RunScope` on the thread that
+/// drives it. The construction sites that used to read process-global
+/// slots read the installed context instead:
 ///   * machine::Network and hpcc::Beff default to its `transport`;
 ///   * simmpi::World owns one product of each `world_observers` factory
-///     (simcheck, simprof), a `world_faults` model (simfault) and a
-///     `world_match_policy` (simrace);
+///     (simcheck, simprof) and a `world_faults` model (simfault);
 ///   * simomp::OmpModel::region_time calls every `region_observers` entry
 ///     (simcheck validates regions, simprof counts them);
-///   * simio::Filesystem merges its counters into `io_stats` at teardown;
 ///   * sim::Engine::run adds the events it processed to `events`.
 /// The analyzers' arming functions (simcheck::arm_check,
 /// simprof::arm_profile, simfault::arm_faults) install factories whose
@@ -49,14 +46,10 @@ class FaultModel;
 namespace simmpi {
 class World;
 class CommObserver;
-class MatchPolicy;
 }  // namespace simmpi
 namespace simomp {
 struct RegionSpec;
 }  // namespace simomp
-namespace simio {
-struct IoStats;
-}  // namespace simio
 }  // namespace columbia
 
 namespace columbia::sim {
@@ -89,9 +82,6 @@ struct RunContext {
   /// product leaves the World clean.
   using FaultFactory =
       std::function<std::shared_ptr<machine::FaultModel>(simmpi::World&)>;
-  /// Single slot: two policies cannot both decide one match.
-  using MatchPolicyFactory =
-      std::function<std::shared_ptr<simmpi::MatchPolicy>(simmpi::World&)>;
   /// Called at every region_time() evaluation, before argument
   /// validation, so it also sees specs the contracts reject.
   using RegionObserver =
@@ -102,10 +92,7 @@ struct RunContext {
   machine::TransportModel transport{};
   std::vector<ObserverFactory> world_observers;
   FaultFactory world_faults;
-  MatchPolicyFactory world_match_policy;
   std::vector<RegionObserver> region_observers;
-  /// Filesystems built under the context merge their counters here.
-  std::shared_ptr<Sink<simio::IoStats>> io_stats;
   /// Engine events processed under this context, on any thread.
   std::atomic<std::uint64_t> events{0};
 };

@@ -159,7 +159,6 @@ void Checker::attach(simmpi::World& world) {
   nranks_ = world.size();
   colls_.assign(static_cast<std::size_t>(nranks_), {});
   finished_.assign(static_cast<std::size_t>(nranks_), false);
-  wildcard_counts_.assign(static_cast<std::size_t>(nranks_), 0);
   world.set_observer(this);
   world.engine().set_deadlock_hook([this] { on_deadlock(); });
 }
@@ -184,14 +183,6 @@ void Checker::on_send_posted(std::uint64_t id, int rank, int dst, int tag,
   rec.rendezvous = rendezvous;
   ops_.emplace(id, rec);
   ++report_.stats.p2p_ops;
-  // Candidate discovery: this send is admissible for every open wildcard
-  // receive at its destination whose tag pattern it matches. (The send's
-  // envelope is deposited synchronously right after this hook, so "posted"
-  // and "in the receiver's mailbox" coincide.)
-  for (auto& w : open_wildcards_) {
-    if (w.rank == dst && (w.tag_pattern == simmpi::kAny || w.tag_pattern == tag))
-      w.candidates.insert(rank);
-  }
 }
 
 void Checker::on_send_completed(std::uint64_t id) {
@@ -214,18 +205,6 @@ void Checker::on_recv_posted(std::uint64_t id, int rank, int src, int tag) {
   rec.wildcard = src == simmpi::kAny || tag == simmpi::kAny;
   ops_.emplace(id, rec);
   ++report_.stats.p2p_ops;
-  // Only a wildcard *source* makes the sender choice free (per-source
-  // message order is fixed by program order, so a tag-only wildcard still
-  // has exactly one admissible match). The per-rank index mirrors
-  // simmpi's MatchPolicy counter: posted order, src == kAny only.
-  if (src == simmpi::kAny) {
-    OpenWildcard w;
-    w.recv_id = id;
-    w.rank = rank;
-    w.k = wildcard_counts_[static_cast<std::size_t>(rank)]++;
-    w.tag_pattern = tag;
-    open_wildcards_.push_back(std::move(w));
-  }
 }
 
 void Checker::on_recv_matched(std::uint64_t recv_id, std::uint64_t send_id,
@@ -249,13 +228,6 @@ void Checker::on_recv_matched(std::uint64_t recv_id, std::uint64_t send_id,
       add_diag(DiagKind::WildcardRace, rit->second.rank, os.str());
     }
   }
-  for (auto& w : open_wildcards_) {
-    if (w.recv_id == recv_id) {
-      if (!eligible.empty()) w.chosen = eligible.front().source;
-      for (const auto& c : eligible) w.candidates.insert(c.source);
-      break;
-    }
-  }
   auto sit = ops_.find(send_id);
   if (sit != ops_.end()) {
     sit->second.matched = true;
@@ -268,23 +240,6 @@ void Checker::on_recv_completed(std::uint64_t id) {
   if (it == ops_.end()) return;
   it->second.completed = true;
   if (it->second.matched) ops_.erase(it);
-  for (auto wit = open_wildcards_.begin(); wit != open_wildcards_.end();
-       ++wit) {
-    if (wit->recv_id != id) continue;
-    if (wit->chosen >= 0 && wit->candidates.size() > 1) {
-      RaceDecision d;
-      d.world = world_serial_;
-      d.rank = wit->rank;
-      d.k = wit->k;
-      d.chosen_source = wit->chosen;
-      for (int s : wit->candidates) {
-        if (s != wit->chosen) d.alternative_sources.push_back(s);
-      }
-      decisions_.push_back(std::move(d));
-    }
-    open_wildcards_.erase(wit);
-    break;
-  }
 }
 
 void Checker::on_request_posted(int rank, std::uint64_t serial, bool is_send,
@@ -518,7 +473,7 @@ void Checker::publish() {
   if (!sink_ || published_) return;
   published_ = true;
   report_.stats.worlds = 1;
-  sink_->publish(report_, decisions_);
+  sink_->publish(report_);
 }
 
 void Checker::check_region(const simomp::RegionSpec& region, int nthreads,
@@ -546,11 +501,9 @@ void Checker::check_region(const simomp::RegionSpec& region, int nthreads,
            " (nthreads=" + std::to_string(nthreads) + ")"});
 }
 
-void CheckSink::publish(const CheckReport& report,
-                        const std::vector<RaceDecision>& decisions) {
+void CheckSink::publish(const CheckReport& report) {
   std::lock_guard<std::mutex> lock(mu_);
   report_.merge(report);
-  decisions_.insert(decisions_.end(), decisions.begin(), decisions.end());
 }
 
 CheckReport CheckSink::take_report() {
@@ -563,28 +516,12 @@ CheckReport CheckSink::take_report() {
   return out;
 }
 
-std::vector<RaceDecision> CheckSink::take_race_decisions() {
-  std::vector<RaceDecision> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = std::exchange(decisions_, {});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const RaceDecision& a, const RaceDecision& b) {
-              if (a.world != b.world) return a.world < b.world;
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.k < b.k;
-            });
-  return out;
-}
-
 std::shared_ptr<CheckSink> arm_check(sim::RunContext& ctx) {
   auto sink = std::make_shared<CheckSink>();
   ctx.world_observers.push_back(
       [sink](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
         auto checker = std::make_shared<Checker>();
         checker->publish_to(sink);
-        checker->set_world_serial(sink->next_world_serial());
         checker->attach(world);
         return checker;
       });
@@ -593,7 +530,7 @@ std::shared_ptr<CheckSink> arm_check(sim::RunContext& ctx) {
         sink->count_region();
         CheckReport local;
         Checker::check_region(region, nthreads, local);
-        if (!local.diagnostics.empty()) sink->publish(local, {});
+        if (!local.diagnostics.empty()) sink->publish(local);
       });
   return sink;
 }

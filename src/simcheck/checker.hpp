@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,28 +69,6 @@ struct CheckStats {
   std::uint64_t regions = 0;      ///< OpenMP region evaluations validated
 };
 
-/// One wildcard-receive match the program did not force: more than one
-/// sender was admissible, so a real machine could have taken a different
-/// one. Exported for src/simrace, which re-runs the scenario forcing each
-/// alternative through the simmpi::MatchPolicy seam. `k` is the receiver's
-/// 0-based wildcard-receive index in posting order — the same key
-/// MatchPolicy::forced_source uses — so (world, rank, k) names this
-/// decision stably across replays. Admissible alternatives are the sources
-/// of every matching send that was posted while the receive was open
-/// (posted but not yet completed): by simmpi's synchronous-deposit
-/// property that covers the whole eligible set at match time, plus
-/// senders that posted between the match and the completion — messages a
-/// real machine could have delivered first. Alternatives from the latter
-/// window may be causally infeasible to force; the explorer counts the
-/// resulting deadlock as an infeasible schedule rather than a race.
-struct RaceDecision {
-  int world = 0;  ///< World construction serial (see set_world_serial)
-  int rank = 0;   ///< receiving rank
-  int k = 0;      ///< per-rank wildcard-receive index, posting order
-  int chosen_source = -1;                ///< source actually matched
-  std::vector<int> alternative_sources;  ///< other admissible sources, sorted
-};
-
 struct CheckReport {
   std::vector<Diagnostic> diagnostics;
   CheckStats stats;
@@ -126,21 +103,8 @@ class Checker final : public simmpi::CommObserver {
 
   const CheckReport& report() const { return report_; }
 
-  /// Wildcard-receive decisions with more than one admissible sender, in
-  /// receive-completion order (populated by finalize/on_deadlock intake;
-  /// records still open at a deadlock are dropped — the run is broken).
-  const std::vector<RaceDecision>& race_decisions() const {
-    return decisions_;
-  }
-
-  /// Tags this checker's decisions with a World construction serial so
-  /// (world, rank, k) is unique across the Worlds of one exploration run.
-  /// arm_check assigns serials in construction order — deterministic only
-  /// under sequential execution, which the explorer requires anyway.
-  void set_world_serial(int serial) { world_serial_ = serial; }
-
-  /// When set, the report and race decisions are merged into `sink` at
-  /// finalize/deadlock (used by arm_check's factory).
+  /// When set, the report is merged into `sink` at finalize/deadlock (used
+  /// by arm_check's factory).
   void publish_to(std::shared_ptr<CheckSink> sink) { sink_ = std::move(sink); }
 
   /// Validates one OpenMP region spec (non-finite or negative demand that
@@ -193,16 +157,6 @@ class Checker final : public simmpi::CommObserver {
     int root = -1;
     double bytes = 0.0;  ///< -1 = per-rank sizes may legitimately differ
   };
-  /// A posted-but-not-completed receive with a wildcard source, gathering
-  /// its admissible sender set as matching sends post.
-  struct OpenWildcard {
-    std::uint64_t recv_id = 0;
-    int rank = 0;
-    int k = 0;
-    int tag_pattern = 0;  ///< may be kAny
-    int chosen = -1;
-    std::set<int> candidates;
-  };
 
   void add_diag(DiagKind kind, int rank, std::string detail);
   /// First content divergence among the per-rank collective sequences;
@@ -215,7 +169,6 @@ class Checker final : public simmpi::CommObserver {
 
   simmpi::World* world_ = nullptr;
   int nranks_ = 0;
-  int world_serial_ = 0;
   std::shared_ptr<CheckSink> sink_;
   bool finalized_ = false;
   bool published_ = false;
@@ -223,9 +176,6 @@ class Checker final : public simmpi::CommObserver {
   std::unordered_map<std::uint64_t, RequestRecord> requests_;
   std::vector<std::vector<CollRecord>> colls_;  ///< per-rank call sequences
   std::vector<bool> finished_;                  ///< rank program returned
-  std::vector<int> wildcard_counts_;   ///< per-rank posted wildcard receives
-  std::vector<OpenWildcard> open_wildcards_;
-  std::vector<RaceDecision> decisions_;  ///< completion order
   CheckReport report_;
 };
 
@@ -236,29 +186,17 @@ class Checker final : public simmpi::CommObserver {
 /// sequential one.
 class CheckSink {
  public:
-  void publish(const CheckReport& report,
-               const std::vector<RaceDecision>& decisions);
+  void publish(const CheckReport& report);
   /// One OpenMP region evaluation validated (CheckStats::regions).
   void count_region() { regions_.fetch_add(1, std::memory_order_relaxed); }
-  /// Next World construction serial under this sink.
-  int next_world_serial() {
-    return world_serial_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// Moves the merged report out and resets it.
   CheckReport take_report();
-  /// Moves the wildcard race decisions out, sorted by (world, rank, k), and
-  /// resets them. World serials count construction order under the
-  /// context — run the scenario sequentially (core::Exec::sequential) for
-  /// stable serials. src/simrace's candidate-discovery path.
-  std::vector<RaceDecision> take_race_decisions();
 
  private:
   std::mutex mu_;
   CheckReport report_;
-  std::vector<RaceDecision> decisions_;
   std::atomic<std::uint64_t> regions_{0};
-  std::atomic<int> world_serial_{0};
 };
 
 /// Arms `ctx` for `--check`: every World constructed under it owns a

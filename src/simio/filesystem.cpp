@@ -33,16 +33,6 @@ sim::Task drive_async_write(Filesystem* fs, int client_cpu,
 
 }  // namespace
 
-void IoStats::merge(const IoStats& other) {
-  filesystems += other.filesystems;
-  opens += other.opens;
-  writes += other.writes;
-  reads += other.reads;
-  chunks += other.chunks;
-  bytes_written += other.bytes_written;
-  bytes_read += other.bytes_read;
-}
-
 // ---------------------------------------------------------------------------
 // Filesystem
 // ---------------------------------------------------------------------------
@@ -64,17 +54,6 @@ Filesystem::Filesystem(sim::Engine& engine, machine::FilesystemSpec spec)
   servers_.reserve(static_cast<std::size_t>(spec_.servers));
   for (int s = 0; s < spec_.servers; ++s) {
     servers_.push_back(std::make_unique<Disk>(engine, disk, s));
-  }
-  if (const sim::RunContext* ctx = sim::current_run_context()) {
-    stats_sink_ = ctx->io_stats;
-  }
-}
-
-Filesystem::~Filesystem() {
-  if (stats_sink_) {
-    IoStats out = stats_;
-    out.filesystems = 1;
-    stats_sink_->merge(out);
   }
 }
 

@@ -50,7 +50,6 @@
 #include "machine/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
-#include "sim/run_context.hpp"
 #include "sim/task.hpp"
 #include "sim/trigger.hpp"
 #include "simio/disk.hpp"
@@ -61,20 +60,15 @@ namespace columbia::simio {
 class File;
 class Filesystem;
 
-/// Filesystem counters. A filesystem built under a RunContext with an
-/// `io_stats` sink merges its own into it at teardown (pure accounting:
-/// armed and unarmed runs stay byte-identical). Byte totals are integers
-/// so cross-thread merge order cannot perturb the sums.
+/// Filesystem counters (pure accounting: reading them cannot change a
+/// run).
 struct IoStats {
-  std::uint64_t filesystems = 0;
   std::uint64_t opens = 0;
   std::uint64_t writes = 0;
   std::uint64_t reads = 0;
   std::uint64_t chunks = 0;  ///< stripe-unit accesses issued to server disks
   std::uint64_t bytes_written = 0;
   std::uint64_t bytes_read = 0;
-
-  void merge(const IoStats& other);
 };
 
 /// Handle for an asynchronous file operation (the I/O analogue of
@@ -151,10 +145,8 @@ class File {
 class Filesystem {
  public:
   /// Expands `spec` into server disks + metadata/streaming resources on
-  /// `engine`. A filesystem constructed under a RunContext with an
-  /// `io_stats` sink merges its counters into it at teardown.
+  /// `engine`.
   Filesystem(sim::Engine& engine, machine::FilesystemSpec spec);
-  ~Filesystem();
   Filesystem(const Filesystem&) = delete;
   Filesystem& operator=(const Filesystem&) = delete;
 
@@ -204,7 +196,6 @@ class Filesystem {
   const machine::FaultModel* fault_ = nullptr;
   std::uint64_t files_created_ = 0;
   IoStats stats_;
-  std::shared_ptr<sim::Sink<IoStats>> stats_sink_;
 };
 
 }  // namespace columbia::simio

@@ -143,10 +143,7 @@ RunResult run(const DriverOptions& opts) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   // Pass 1: lex everything and build both project indices — the token-rule
-  // facts (ProjectIndex) and the effect summaries (EffectIndex). The rule
-  // index runs twice so facts that depend on other facts (alias-typed
-  // declarations in a file lexed before the alias) settle regardless of
-  // file order.
+  // facts (ProjectIndex) and the effect summaries (EffectIndex).
   std::vector<LexedFile> lexed(files.size());
   ProjectIndex index;
   EffectIndex effects;
@@ -157,15 +154,10 @@ RunResult run(const DriverOptions& opts) {
       continue;
     }
     lexed[i] = lex(source);
+    index_file(lexed[i], index);
     collect_effects(files[i].first, lexed[i], effects);
     check_allow_rationales(files[i].first, lexed[i], result.errors);
   }
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const LexedFile& f : lexed) index_file(f, index);
-  }
-  // Close the wildcard-receive returner relation over call edges — the
-  // cross-TU step: a helper in one file, its transitive callers in others.
-  finalize_index(index);
   // Close the effect summaries caller-ward over the resolved call graph
   // (co_await edges included) and surface malformed-seam errors.
   finalize_effects(effects);
@@ -217,7 +209,6 @@ RunResult run(const DriverOptions& opts) {
     result.findings.push_back(std::move(f));
   }
   std::sort(result.findings.begin(), result.findings.end());
-  result.pdes_readiness = pdes_readiness_json(effects);
   for (const std::string& entry : baseline) {
     if (baseline_hit.count(entry) == 0) result.stale_baseline.push_back(entry);
   }
@@ -284,55 +275,6 @@ std::string render_json(const RunResult& result) {
     os << (i ? ", " : "") << "\"" << json_escape(result.errors[i]) << "\"";
   }
   os << "]\n}\n";
-  return os.str();
-}
-
-std::string render_sarif(const RunResult& result) {
-  // Minimal SARIF 2.1.0: one run, the catalogue as tool.driver.rules, one
-  // result per finding with a single physical location. ruleIndex points
-  // into the rules array so viewers can show the summary inline.
-  const std::vector<RuleInfo>& rules = rule_catalogue();
-  std::map<std::string, std::size_t> rule_index;
-  for (std::size_t i = 0; i < rules.size(); ++i) rule_index[rules[i].id] = i;
-
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"$schema\": "
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-     << "  \"version\": \"2.1.0\",\n"
-     << "  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n"
-     << "          \"name\": \"simlint\",\n"
-     << "          \"informationUri\": "
-        "\"https://columbia.invalid/simlint\",\n"
-     << "          \"rules\": [";
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    os << (i ? "," : "") << "\n            {\"id\": \"" << rules[i].id
-       << "\", \"shortDescription\": {\"text\": \""
-       << json_escape(rules[i].summary) << "\"}}";
-  }
-  os << "\n          ]\n        }\n      },\n      \"results\": [";
-  for (std::size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    os << (i ? "," : "") << "\n        {\"ruleId\": \"" << f.rule << "\"";
-    const auto ri = rule_index.find(f.rule);
-    if (ri != rule_index.end()) {
-      os << ", \"ruleIndex\": " << ri->second;
-    }
-    os << ", \"level\": \"error\",\n         \"message\": {\"text\": \""
-       << json_escape(f.message) << "\"},\n         \"locations\": [{"
-       << "\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
-       << json_escape(f.file) << "\"}, \"region\": {\"startLine\": "
-       << f.line << "}}}]}";
-  }
-  os << (result.findings.empty() ? "" : "\n      ") << "],\n";
-  os << "      \"invocations\": [{\"executionSuccessful\": "
-     << (result.errors.empty() ? "true" : "false")
-     << ", \"toolExecutionNotifications\": [";
-  for (std::size_t i = 0; i < result.errors.size(); ++i) {
-    os << (i ? "," : "") << "\n        {\"level\": \"error\", \"message\": "
-       << "{\"text\": \"" << json_escape(result.errors[i]) << "\"}}";
-  }
-  os << (result.errors.empty() ? "" : "\n      ") << "]}]\n    }\n  ]\n}\n";
   return os.str();
 }
 

@@ -3,7 +3,7 @@
 /// simlint's run orchestration: file discovery, the token-rule passes,
 /// the interprocedural effect passes, inline `// simlint:allow(rule)`
 /// suppressions (every one needs a rationale after the rule list), the
-/// checked-in baseline, and human/JSON/SARIF rendering.
+/// checked-in baseline, and human/JSON rendering.
 ///
 /// Determinism of the linter itself is part of the contract: discovered
 /// files are sorted, findings are sorted, and output is byte-stable for
@@ -43,10 +43,6 @@ struct RunResult {
                                             ///< longer match anything
   std::vector<std::string> errors;  ///< unreadable paths, rationale-less
                                     ///< suppressions, malformed seams …
-  /// The pdes-readiness certificate (passes.hpp), always computed; the
-  /// CLI writes it next to the build on request.
-  std::string pdes_readiness;
-
   bool clean() const { return findings.empty() && errors.empty(); }
 };
 
@@ -58,10 +54,6 @@ std::string render_human(const RunResult& result);
 
 /// JSON document: {"findings": [{file, line, rule, message}...], stats}.
 std::string render_json(const RunResult& result);
-
-/// SARIF 2.1.0 document (one run, the rule catalogue as
-/// tool.driver.rules, one result per finding) for CI annotation.
-std::string render_sarif(const RunResult& result);
 
 /// Baseline serialization of the current findings (`file:line:rule` lines,
 /// sorted, with a header comment).

@@ -33,7 +33,7 @@ bool world_state_call(const std::string& name) {
   static const std::set<std::string> kSet = {
       "spawn",         "schedule",       "schedule_at",
       "delay",         "fire",           "set_span_sink",
-      "set_observer",  "set_fault_model", "set_match_policy"};
+      "set_observer",  "set_fault_model"};
   return kSet.count(name) != 0;
 }
 

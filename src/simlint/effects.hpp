@@ -1,7 +1,9 @@
 #pragma once
 /// \file effects.hpp
 /// Interprocedural effect analysis: the symbol table + function-summary IR
-/// that certifies PDES-partitionability (ROADMAP item 2).
+/// behind the effect passes (passes.hpp), which keep event handlers free of
+/// shared mutable state and entropy so one engine per host thread stays
+/// safe.
 ///
 /// Every function definition the lexer can see — free functions, member
 /// functions (in-class and out-of-line), constructors/destructors, and
@@ -21,8 +23,7 @@
 /// `finalize_effects` links call sites to summaries by name (conservative:
 /// same-name overloads merge) and propagates the state effects — writes,
 /// reads, world-state, wall-clock, rng — caller-ward to a fixpoint, the
-/// same closure discipline as `finalize_index`, including co_await edges
-/// (an awaited callee is a callee).
+/// including co_await edges (an awaited callee is a callee).
 ///
 /// A function that is none of {writes, reads, wall-clock, rng} after
 /// closure is *rank-local-only* — safe to run on any partition thread.
@@ -35,8 +36,7 @@
 /// definition). For the named passes the function becomes an absorbing
 /// boundary: it is not reported and reachability does not continue through
 /// it. Every seam needs a non-empty rationale and valid rule ids (or
-/// `all`); violations surface as driver errors, and all seams are listed
-/// in the pdes-readiness report so the sanctioned surface stays auditable.
+/// `all`); violations surface as driver errors.
 
 #include <cstddef>
 #include <map>

@@ -4,13 +4,10 @@
 //   $ ./simlint --root . src tests bench examples   # explicit paths
 //   $ ./simlint --root .                            # same (the default set)
 //   $ ./simlint --json                              # machine-readable
-//   $ ./simlint --sarif                             # SARIF 2.1.0 for CI
 //   $ ./simlint --baseline simlint_baseline.txt     # ignore known findings
 //   $ ./simlint --baseline simlint_baseline.txt --strict-baseline
 //                                     # ...and fail on stale entries
 //   $ ./simlint --write-baseline simlint_baseline.txt
-//   $ ./simlint --pdes-readiness pdes_readiness.json
-//                                     # write the ROADMAP-item-2 certificate
 //   $ ./simlint --list-rules                        # the rule catalogue
 //
 // Flags parse through core::RunOptionsParser (the table-driven parser
@@ -34,10 +31,8 @@ int main(int argc, char** argv) {
   simlint::DriverOptions driver;
   driver.paths.clear();
   bool json = false;
-  bool sarif = false;
   bool list_rules = false;
   std::string write_baseline;
-  std::string pdes_readiness_path;
 
   core::RunOptionsParser parser("simlint", "[options] [path...]");
   parser.allow_positional();
@@ -51,23 +46,6 @@ int main(int argc, char** argv) {
   parser.add_flag("--json", "", "emit findings as JSON on stdout",
                   [&](const std::string&, std::string&) {
                     json = true;
-                    return true;
-                  });
-  parser.add_flag("--sarif", "",
-                  "emit findings as SARIF 2.1.0 on stdout (CI annotation)",
-                  [&](const std::string&, std::string&) {
-                    sarif = true;
-                    return true;
-                  });
-  parser.add_flag("--pdes-readiness", "<file>",
-                  "write the per-subsystem PDES partitioning certificate "
-                  "(blockers + sanctioned seams) to <file>",
-                  [&](const std::string& v, std::string& err) {
-                    if (v.empty()) {
-                      err = "--pdes-readiness expects a file path";
-                      return false;
-                    }
-                    pdes_readiness_path = v;
                     return true;
                   });
   parser.add_flag("--baseline", "<file>",
@@ -118,22 +96,7 @@ int main(int argc, char** argv) {
     driver.paths = {"src", "tests", "bench", "examples"};
   }
 
-  if (json && sarif) {
-    std::fprintf(stderr, "simlint: --json and --sarif are exclusive\n");
-    return 2;
-  }
-
   const simlint::RunResult result = simlint::run(driver);
-
-  if (!pdes_readiness_path.empty()) {
-    std::ofstream out(pdes_readiness_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "simlint: cannot write %s\n",
-                   pdes_readiness_path.c_str());
-      return 1;
-    }
-    out << result.pdes_readiness;
-  }
 
   if (!write_baseline.empty()) {
     std::ofstream out(write_baseline, std::ios::binary);
@@ -152,8 +115,6 @@ int main(int argc, char** argv) {
 
   if (json) {
     std::fputs(simlint::render_json(result).c_str(), stdout);
-  } else if (sarif) {
-    std::fputs(simlint::render_sarif(result).c_str(), stdout);
   } else {
     std::fputs(simlint::render_human(result).c_str(), stdout);
   }

@@ -1,9 +1,7 @@
 #include "simlint/passes.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <sstream>
 
 namespace columbia::simlint {
 
@@ -91,8 +89,8 @@ void pass_cross_rank(const EffectIndex& index, std::vector<Finding>& out) {
                kind + " `" + use.name +
                "` and is reachable from an event handler (" +
                witness_chain(index, r, i) +
-               ") — cross-rank shared mutable state blocks rank "
-               "partitioning (ROADMAP item 2); make it rank-local, guard "
+               ") — cross-rank shared mutable state races once ranks or "
+               "runs share host threads; make it rank-local, guard "
                "it, or sanction it with `simlint:seam("
                "cross-rank-shared-mutable): <why>` on the definition"});
     }
@@ -118,30 +116,6 @@ void pass_nondet_interprocedural(const EffectIndex& index,
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Subsystem of a root-relative label: `src/simmpi/world.cpp` -> simmpi,
-/// `tests/...` -> tests, anything else -> its first path component.
-std::string subsystem_of(const std::string& file) {
-  std::size_t start = 0;
-  if (file.rfind("src/", 0) == 0) start = 4;
-  const std::size_t slash = file.find('/', start);
-  if (slash == std::string::npos) return file.substr(start);
-  return file.substr(start, slash - start);
-}
-
 }  // namespace
 
 std::vector<Finding> run_effect_passes(const EffectIndex& index) {
@@ -151,79 +125,6 @@ std::vector<Finding> run_effect_passes(const EffectIndex& index) {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-std::string pdes_readiness_json(const EffectIndex& index) {
-  struct Sub {
-    int handlers = 0;
-    int functions = 0;
-    int rank_local = 0;
-    std::vector<const Finding*> blockers;
-    std::vector<const FunctionSummary*> seams;
-  };
-  std::map<std::string, Sub> subs;
-  for (const FunctionSummary& fn : index.functions) {
-    Sub& s = subs[subsystem_of(fn.file)];
-    ++s.functions;
-    if (fn.is_handler) ++s.handlers;
-    if (rank_local_only(fn.effects)) ++s.rank_local;
-    if (!fn.seam_rules.empty()) s.seams.push_back(&fn);
-  }
-  // Blockers are exactly the reachability passes' findings: what still
-  // stands between this tree and rank partitioning.
-  std::vector<Finding> blockers;
-  pass_cross_rank(index, blockers);
-  pass_nondet_interprocedural(index, blockers);
-  std::sort(blockers.begin(), blockers.end());
-  blockers.erase(std::unique(blockers.begin(), blockers.end()),
-                 blockers.end());
-  for (const Finding& f : blockers) {
-    subs[subsystem_of(f.file)].blockers.push_back(&f);
-  }
-
-  std::ostringstream os;
-  os << "{\n  \"schema_version\": 1,\n  \"report\": \"pdes-readiness\",\n";
-  os << "  \"roadmap_item\": 2,\n";
-  bool all_ready = true;
-  for (const auto& [name, s] : subs) {
-    if (!s.blockers.empty()) all_ready = false;
-  }
-  os << "  \"ready\": " << (all_ready ? "true" : "false") << ",\n";
-  os << "  \"subsystems\": [";
-  bool first = true;
-  for (const auto& [name, s] : subs) {
-    os << (first ? "" : ",") << "\n    {\"name\": \"" << json_escape(name)
-       << "\", \"functions\": " << s.functions
-       << ", \"handlers\": " << s.handlers
-       << ", \"rank_local_only\": " << s.rank_local
-       << ", \"ready\": " << (s.blockers.empty() ? "true" : "false")
-       << ",\n     \"blockers\": [";
-    for (std::size_t i = 0; i < s.blockers.size(); ++i) {
-      const Finding& f = *s.blockers[i];
-      os << (i ? "," : "") << "\n       {\"file\": \"" << json_escape(f.file)
-         << "\", \"line\": " << f.line << ", \"rule\": \"" << f.rule
-         << "\", \"detail\": \"" << json_escape(f.message) << "\"}";
-    }
-    os << (s.blockers.empty() ? "" : "\n     ") << "],\n     \"seams\": [";
-    for (std::size_t i = 0; i < s.seams.size(); ++i) {
-      const FunctionSummary& fn = *s.seams[i];
-      os << (i ? "," : "") << "\n       {\"symbol\": \""
-         << json_escape(fn.qualified) << "\", \"file\": \""
-         << json_escape(fn.file) << "\", \"line\": " << fn.line
-         << ", \"passes\": [";
-      bool frule = true;
-      for (const std::string& r : fn.seam_rules) {
-        os << (frule ? "" : ", ") << "\"" << json_escape(r) << "\"";
-        frule = false;
-      }
-      os << "], \"rationale\": \"" << json_escape(fn.seam_rationale)
-         << "\"}";
-    }
-    os << (s.seams.empty() ? "" : "\n     ") << "]}";
-    first = false;
-  }
-  os << (subs.empty() ? "" : "\n  ") << "]\n}\n";
-  return os.str();
 }
 
 }  // namespace columbia::simlint

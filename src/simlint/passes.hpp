@@ -1,7 +1,7 @@
 #pragma once
 /// \file passes.hpp
 /// The effect-pass family: findings derived from the closed effect
-/// summaries (effects.hpp), plus the pdes-readiness report.
+/// summaries (effects.hpp).
 ///
 ///   cross-rank-shared-mutable  a function that touches a mutable
 ///                              static/global is reachable from a
@@ -11,9 +11,7 @@
 ///                              from a handler through the call graph
 ///
 /// Findings flow through the same schema, suppressions, and baseline as
-/// the token rules. The pdes-readiness report is not a rule: it is the
-/// per-subsystem certificate for ROADMAP item 2 — which symbols still
-/// block rank partitioning, and which seams have been sanctioned.
+/// the token rules.
 
 #include <string>
 #include <vector>
@@ -26,11 +24,5 @@ namespace columbia::simlint {
 /// Runs every effect pass over the finalized index. Findings come back
 /// sorted; the driver applies suppressions and the baseline.
 std::vector<Finding> run_effect_passes(const EffectIndex& index);
-
-/// The pdes-readiness JSON document: per-subsystem handler counts,
-/// blockers (cross-rank-shared-mutable + nondet-interprocedural sinks that
-/// are not seam-sanctioned, before inline suppressions — a suppressed
-/// blocker is still a blocker for partitioning), and the sanctioned seams.
-std::string pdes_readiness_json(const EffectIndex& index);
 
 }  // namespace columbia::simlint

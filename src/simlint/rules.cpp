@@ -36,16 +36,12 @@ const std::vector<RuleInfo> kCatalogue = {
     {"impure-listener",
      "observer seam (CommObserver/SpanSink/RegionObserver) mutates "
      "simulation or global state: listeners must be pure"},
-    {"wildcard-order-sensitive",
-     "branch condition reads the .source of a wildcard receive (directly "
-     "or through a returner function, cross-TU) without a deterministic "
-     "tie-break: the branch depends on arrival order"},
     // Effect passes (interprocedural; see effects.hpp / passes.cpp). These
     // run over the closed effect summaries, not one file's tokens.
     {"cross-rank-shared-mutable",
      "mutable static/global state reachable from a Task/CoTask event "
-     "handler without a documented seam: rank partitioning across host "
-     "threads (ROADMAP item 2) would race on it"},
+     "handler without a documented seam: runs sharing host threads would "
+     "race on it"},
     {"nondet-interprocedural",
      "wall-clock/entropy source reachable from a Task/CoTask event "
      "handler through the call graph: runs must be pure functions of "
@@ -60,82 +56,6 @@ const std::vector<RuleInfo> kCatalogue = {
 bool is_unordered_kind(const std::string& s) {
   return s == "unordered_map" || s == "unordered_set" ||
          s == "unordered_multimap" || s == "unordered_multiset";
-}
-
-// --------------------------------------------------------------------------
-// Wildcard-receive dataflow (shared by index_file and the
-// wildcard-order-sensitive rule)
-// --------------------------------------------------------------------------
-
-/// `i` at a `recv` identifier followed by `(`: true when the call is a
-/// wildcard receive — no arguments (source defaults to kAny) or a first
-/// argument that mentions kAny.
-bool wildcard_recv_call(const Toks& t, std::size_t i) {
-  if (i + 1 >= t.size() || !t[i + 1].is("(")) return false;
-  const std::size_t close = match_paren(t, i + 1);
-  if (close == kNpos) return false;
-  if (close == i + 2) return true;  // recv()
-  int depth = 0;
-  for (std::size_t j = i + 2; j < close; ++j) {
-    if (t[j].is("(") || t[j].is("[") || t[j].is("{")) ++depth;
-    else if (t[j].is(")") || t[j].is("]") || t[j].is("}")) --depth;
-    else if (t[j].is(",") && depth == 0) break;  // end of first argument
-    else if (t[j].ident("kAny")) return true;
-  }
-  return false;
-}
-
-/// The function call the `co_await` at `i` ultimately awaits: index of the
-/// last top-level identifier-followed-by-`(` in the awaited expression
-/// (`co_await r.recv(…)` -> recv, `co_await next_any(w, r)` -> next_any),
-/// or kNpos. The expression ends at `;`, a top-level `,`, or a `)` closing
-/// the enclosing expression.
-std::size_t awaited_callee(const Toks& t, std::size_t i, std::size_t hi) {
-  std::size_t callee = kNpos;
-  int depth = 0;
-  for (std::size_t j = i + 1; j < hi && j < t.size(); ++j) {
-    const Token& tok = t[j];
-    if (tok.is(";")) break;
-    if (tok.is("(") || tok.is("[") || tok.is("{")) {
-      if (depth == 0 && j > i + 1 && t[j - 1].kind == TokKind::Ident) {
-        callee = j - 1;
-      }
-      ++depth;
-      continue;
-    }
-    if (tok.is(")") || tok.is("]") || tok.is("}")) {
-      if (--depth < 0) break;  // closes the expression around the co_await
-      continue;
-    }
-    if (depth == 0 && tok.is(",")) break;
-  }
-  return callee;
-}
-
-/// Variables in [lo, hi) bound (`var = co_await …`) to the message of a
-/// wildcard receive — a `recv()` / `recv(kAny, …)` chain or a call to a
-/// function in `returners`. Maps the variable name to the token index of
-/// its (latest) binding.
-std::map<std::string, std::size_t> wildcard_bound_vars(
-    const Toks& t, std::size_t lo, std::size_t hi,
-    const std::set<std::string>& returners) {
-  std::map<std::string, std::size_t> out;
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (!t[i].ident("co_await")) continue;
-    const std::size_t callee = awaited_callee(t, i, hi);
-    if (callee == kNpos) continue;
-    bool wild = false;
-    if (t[callee].ident("recv")) {
-      wild = wildcard_recv_call(t, callee);
-    } else {
-      wild = returners.count(t[callee].text) != 0;
-    }
-    if (!wild) continue;
-    if (i >= 2 && t[i - 1].is("=") && t[i - 2].kind == TokKind::Ident) {
-      out[t[i - 2].text] = i - 2;
-    }
-  }
-  return out;
 }
 
 // --------------------------------------------------------------------------
@@ -156,7 +76,6 @@ class Analyzer {
     rule_unordered_iter_output();
     rule_ordered_ptr_key();
     rule_impure_listener();
-    rule_wildcard_order_sensitive();
     std::sort(findings_.begin(), findings_.end());
     return std::move(findings_);
   }
@@ -608,205 +527,11 @@ class Analyzer {
     }
   }
 
-  // ---- wildcard-order-sensitive ------------------------------------------
-  /// Brace span of a function definition, for naming flagged sites and
-  /// for scoping the variable dataflow.
-  struct FnSpan {
-    std::string name;
-    std::size_t body_open;
-    std::size_t body_close;
-  };
-
-  std::vector<FnSpan> function_spans() const {
-    static const std::set<std::string> kNotFunctions = {
-        "if",    "while",  "for",       "switch",   "catch",
-        "return", "co_return", "co_await", "co_yield", "sizeof",
-        "alignof", "new",  "delete",    "else",     "do",
-        "case",  "operator"};
-    std::vector<FnSpan> spans;
-    for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
-      if (t_[i].kind != TokKind::Ident || !t_[i + 1].is("(")) continue;
-      if (kNotFunctions.count(t_[i].text) != 0) continue;
-      // A definition's name follows its return type (`void f(`,
-      // `CoTask<Message> f(`, `Class::f(`); a bare call at statement
-      // start does not parse past the `)` below.
-      const Token* prev = prev_tok(i);
-      if (prev == nullptr ||
-          !(prev->kind == TokKind::Ident || prev->is(">") || prev->is("&") ||
-            prev->is("*") || prev->is("::"))) {
-        continue;
-      }
-      const std::size_t params_close = match_paren(t_, i + 1);
-      if (params_close == kNpos) continue;
-      // Skip trailing specifiers up to the body; `;`, `=`, or a ctor
-      // init-list `:` means this is not a plain definition.
-      std::size_t k = params_close + 1;
-      bool ok = true;
-      while (k < t_.size() && !t_[k].is("{")) {
-        const Token& tok = t_[k];
-        if (tok.kind == TokKind::Ident || tok.is("->") || tok.is("::") ||
-            tok.is("&") || tok.is("&&") || tok.is("*")) {
-          ++k;
-        } else if (tok.is("(")) {
-          const std::size_t p = match_paren(t_, k);
-          if (p == kNpos) { ok = false; break; }
-          k = p + 1;
-        } else if (tok.is("<")) {
-          const std::size_t a = match_angle(t_, k);
-          if (a == kNpos) { ok = false; break; }
-          k = a + 1;
-        } else {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok || k >= t_.size()) continue;
-      const std::size_t body_close = match_brace(t_, k);
-      if (body_close == kNpos) continue;
-      spans.push_back({t_[i].text, k, body_close});
-    }
-    return spans;
-  }
-
-  void rule_wildcard_order_sensitive() {
-    const std::vector<FnSpan> spans = function_spans();
-    // Innermost definition span containing `i` ("" at file scope).
-    auto enclosing = [&](std::size_t i) -> const FnSpan* {
-      const FnSpan* best = nullptr;
-      for (const FnSpan& s : spans) {
-        if (i <= s.body_open || i >= s.body_close) continue;
-        if (best == nullptr ||
-            s.body_close - s.body_open < best->body_close - best->body_open) {
-          best = &s;
-        }
-      }
-      return best;
-    };
-    // `sort(` call sites: the sanctioned deterministic tie-break (collect
-    // candidates, order them by a stable key, then branch).
-    std::vector<std::size_t> sorts;
-    for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
-      if (t_[i].ident("sort") && t_[i + 1].is("(")) sorts.push_back(i);
-    }
-
-    for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
-      const Token& tok = t_[i];
-      if (!(tok.ident("if") || tok.ident("while") || tok.ident("switch"))) {
-        continue;
-      }
-      std::size_t open = i + 1;
-      if (open < t_.size() && t_[open].ident("constexpr")) ++open;
-      if (open >= t_.size() || !t_[open].is("(")) continue;
-      const std::size_t close = match_paren(t_, open);
-      if (close == kNpos) continue;
-      const FnSpan* fn = enclosing(i);
-      // Dataflow is scoped to the enclosing definition when one parses
-      // (lambda bodies are inside it); whole file otherwise.
-      const std::size_t lo = fn != nullptr ? fn->body_open : 0;
-      const std::size_t hi = fn != nullptr ? fn->body_close : t_.size();
-      const auto tainted =
-          wildcard_bound_vars(t_, lo, hi, index_.wildcard_recv_returners);
-      if (tainted.empty()) continue;
-      for (std::size_t j = open + 1; j + 2 < close; ++j) {
-        if (t_[j].kind != TokKind::Ident ||
-            !(t_[j + 1].is(".") || t_[j + 1].is("->")) ||
-            !t_[j + 2].ident("source")) {
-          continue;
-        }
-        const auto bind = tainted.find(t_[j].text);
-        if (bind == tainted.end() || bind->second >= j) continue;
-        // A lexically earlier sort() in the same scope is the blessed
-        // tie-break: arrival order was already normalized away.
-        bool sanctioned = false;
-        for (const std::size_t s : sorts) {
-          if (s >= lo && s < j) {
-            sanctioned = true;
-            break;
-          }
-        }
-        if (sanctioned) continue;
-        const std::string where =
-            fn != nullptr ? "function '" + fn->name + "'" : "file scope";
-        add(t_[j].line, "wildcard-order-sensitive",
-            where + " branches on `" + t_[j].text + t_[j + 1].text +
-                "source` from a wildcard receive — which message arrives "
-                "first is not fixed by the program, so the branch encodes "
-                "arrival order; sort the candidates by a stable key (or "
-                "receive from a concrete source) before branching");
-        break;  // one finding per condition
-      }
-    }
-  }
-
   const std::string& path_;
   const Toks& t_;
   const ProjectIndex& index_;
   std::vector<Finding> findings_;
 };
-
-}  // namespace
-
-namespace {
-
-/// `params_open` at the `(` of a CoTask-returning definition of `fn`:
-/// records fn's wildcard-receive dataflow facts — a direct
-/// `co_return co_await ….recv(<wildcard>)` (or a wildcard-bound local
-/// co_returned later) makes fn a returner; `co_return co_await g(…)`
-/// records the call edge fn -> g for finalize_index's closure.
-void harvest_returner_facts(const Toks& t, const std::string& fn,
-                            std::size_t params_open, ProjectIndex& index) {
-  const std::size_t params_close = match_paren(t, params_open);
-  if (params_close == kNpos) return;
-  std::size_t k = params_close + 1;
-  while (k < t.size() && !t[k].is("{")) {
-    // const / noexcept / override / trailing-return tokens; anything else
-    // (`;`, `=`, a ctor `:`) means there is no body here.
-    const Token& tok = t[k];
-    if (tok.kind == TokKind::Ident || tok.is("->") || tok.is("::") ||
-        tok.is("&") || tok.is("&&") || tok.is("*")) {
-      ++k;
-    } else if (tok.is("(")) {
-      const std::size_t p = match_paren(t, k);
-      if (p == kNpos) return;
-      k = p + 1;
-    } else if (tok.is("<")) {
-      const std::size_t a = match_angle(t, k);
-      if (a == kNpos) return;
-      k = a + 1;
-    } else {
-      return;
-    }
-  }
-  if (k >= t.size()) return;
-  const std::size_t body_close = match_brace(t, k);
-  if (body_close == kNpos) return;
-
-  const auto tainted = wildcard_bound_vars(t, k + 1, body_close,
-                                           index.wildcard_recv_returners);
-  for (std::size_t i = k + 1; i < body_close; ++i) {
-    if (!t[i].ident("co_return")) continue;
-    if (i + 1 < body_close && t[i + 1].ident("co_await")) {
-      const std::size_t callee = awaited_callee(t, i + 1, body_close);
-      if (callee == kNpos) continue;
-      if (t[callee].ident("recv")) {
-        if (wildcard_recv_call(t, callee)) {
-          index.wildcard_recv_returners.insert(fn);
-        }
-      } else {
-        index.returned_await_callees[fn].insert(t[callee].text);
-      }
-      continue;
-    }
-    // `co_return m;` of a wildcard-bound local.
-    if (i + 2 < t.size() && t[i + 1].kind == TokKind::Ident &&
-        t[i + 2].is(";")) {
-      const auto bind = tainted.find(t[i + 1].text);
-      if (bind != tainted.end() && bind->second < i) {
-        index.wildcard_recv_returners.insert(fn);
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -856,7 +581,6 @@ void index_file(const LexedFile& file, ProjectIndex& index) {
       }
       if (name_at + 1 >= t.size() || !t[name_at + 1].is("(")) continue;
       index.task_functions.insert(t[name_at].text);
-      harvest_returner_facts(t, t[name_at].text, name_at + 1, index);
       continue;
     }
     if (tok.text == "Task" && i + 2 < t.size() &&
@@ -910,26 +634,6 @@ void index_file(const LexedFile& file, ProjectIndex& index) {
     }
     if (unordered) index.unordered_names.insert(t[after].text);
     else index.vector_names.insert(t[after].text);
-  }
-}
-
-void finalize_index(ProjectIndex& index) {
-  // Fixpoint over the co_return-co_await call edges: each round promotes
-  // callers one hop closer to a direct wildcard receive; the edge count
-  // bounds the rounds.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [fn, callees] : index.returned_await_callees) {
-      if (index.wildcard_recv_returners.count(fn) != 0) continue;
-      for (const std::string& callee : callees) {
-        if (index.wildcard_recv_returners.count(callee) != 0) {
-          index.wildcard_recv_returners.insert(fn);
-          changed = true;
-          break;
-        }
-      }
-    }
   }
 }
 

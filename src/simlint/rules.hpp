@@ -35,23 +35,12 @@
 ///                               implementation (or a RegionObserver
 ///                               lambda) calls a scheduling API or writes
 ///                               a g_* global — listeners must be pure
-///   * wildcard-order-sensitive  an if/while/switch condition reads the
-///                               `.source` of a message received with a
-///                               wildcard (`recv()` / `recv(kAny, …)`,
-///                               directly or through a helper that returns
-///                               one cross-TU) with no deterministic
-///                               tie-break — the branch taken depends on
-///                               arrival order, which a real machine does
-///                               not fix. simrace explores the orderings
-///                               such a site could see.
 ///
 /// The engine is two-pass: `index_file` collects cross-file facts (names
-/// of Task/CoTask-returning functions, observer-derived classes, and the
-/// wildcard-receive dataflow call graph), `finalize_index` closes the
-/// returns-a-wildcard-message relation over call edges, then
-/// `analyze_file` runs every rule over one file's tokens.
+/// of Task/CoTask-returning functions, observer-derived classes, and
+/// container-typed names), then `analyze_file` runs every rule over one
+/// file's tokens.
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -106,29 +95,10 @@ struct ProjectIndex {
   /// Names declared as std::vector, same project-wide scope (element
   /// references into these are what ref-across-suspend guards).
   std::set<std::string> vector_names;
-  /// Functions whose returned value is (transitively) a message received
-  /// with a wildcard source: the body contains `co_return co_await
-  /// ….recv()` / `….recv(kAny, …)`, binds such a receive to a local and
-  /// co_returns it, or co_returns the await of another returner (closed
-  /// over `returned_await_callees` by `finalize_index`). A call to one of
-  /// these is dataflow-equivalent to posting the wildcard receive inline —
-  /// the cross-TU half of wildcard-order-sensitive.
-  std::set<std::string> wildcard_recv_returners;
-  /// Call-graph edges `f -> {g…}` where f's body co_returns the await of
-  /// g(...). Input to `finalize_index`; kept in the index so both passes
-  /// (and tests) can see the raw edges.
-  std::map<std::string, std::set<std::string>> returned_await_callees;
 };
 
 /// Pass 1: records `file`'s contributions to the index.
 void index_file(const LexedFile& file, ProjectIndex& index);
-
-/// Closes `wildcard_recv_returners` over `returned_await_callees` to a
-/// fixpoint (a function that co_returns the await of a returner is itself
-/// a returner, through any number of hops and regardless of which
-/// translation unit each hop lives in). The driver calls this once, after
-/// every file has been indexed.
-void finalize_index(ProjectIndex& index);
 
 /// Pass 2: runs every rule over one file. `path` is the label used in
 /// findings (driver passes the root-relative path). Findings come back

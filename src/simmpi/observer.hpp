@@ -136,27 +136,4 @@ class ObserverFanout final : public CommObserver {
   std::vector<CommObserver*> children_;
 };
 
-/// Decides which sender a wildcard receive takes. Unlike CommObserver this
-/// is *not* a pure listener — it changes matching — so it is reserved for
-/// the race explorer (src/simrace), which replays a scenario under the
-/// deterministic engine while forcing alternative sender choices at
-/// wildcard match points.
-///
-/// `forced_source(rank, k)` is consulted once per receive posted with
-/// src == kAny: `rank` is the receiver and `k` its 0-based per-rank
-/// wildcard-receive index, counted in posting (program) order — the index
-/// is a pure function of the rank's program, so the same (rank, k) names
-/// the same receive across replays regardless of match order. Return the
-/// source rank the receive must behave as `recv(src=that)` for, or kAny to
-/// keep default arrival-order matching. Forcing a source that never sends
-/// a matching message leaves the receive blocked forever; the engine
-/// surfaces that as sim::DeadlockError (the explorer counts the schedule
-/// as infeasible). Observers still see the *posted* pattern (kAny), so
-/// analyzers index wildcard receives identically in forced and free runs.
-class MatchPolicy {
- public:
-  virtual ~MatchPolicy() = default;
-  virtual int forced_source(int rank, int k) = 0;
-};
-
 }  // namespace columbia::simmpi

@@ -154,20 +154,7 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
   std::uint64_t recv_id = 0;
   if (obs) {
     recv_id = world_->next_check_id();
-    // Observers see the *posted* pattern, not the forced one, so analyzers
-    // number wildcard receives identically in forced and free runs.
     obs->on_recv_posted(recv_id, rank_, src, tag);
-  }
-
-  // Race-exploration seam: an attached MatchPolicy may pin this wildcard
-  // receive to one sender, in which case it behaves exactly as if posted
-  // with that concrete source — in the unexpected-queue scan below and in
-  // the pending record deposit() matches against.
-  int eff_src = src;
-  if (src == kAny && world_->match_policy() != nullptr) {
-    const int forced =
-        world_->match_policy()->forced_source(rank_, wildcard_serial_++);
-    if (forced != kAny) eff_src = forced;
   }
 
   Envelope* env = nullptr;
@@ -178,7 +165,7 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
     // unchanged; the candidates feed the wildcard-race detector).
     std::vector<Candidate> eligible;
     for (auto& e : unexpected_) {
-      if (!e->claimed && matches(eff_src, tag, *e)) {
+      if (!e->claimed && matches(src, tag, *e)) {
         if (env == nullptr) env = e.get();
         eligible.push_back({e->src, e->tag});
       }
@@ -186,7 +173,7 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
     if (env != nullptr) obs->on_recv_matched(recv_id, env->check_id, eligible);
   } else {
     for (auto& e : unexpected_) {
-      if (!e->claimed && matches(eff_src, tag, *e)) {
+      if (!e->claimed && matches(src, tag, *e)) {
         env = e.get();
         break;
       }
@@ -196,7 +183,7 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
     env->claimed = true;
   } else {
     PendingRecv p(eng);
-    p.src = eff_src;
+    p.src = src;
     p.tag = tag;
     p.check_id = recv_id;
     pending_.push_back(&p);
@@ -592,8 +579,8 @@ World::World(sim::Engine& engine, machine::Network& network,
   // (each factory attaches its product — observer slot, engine deadlock
   // hook, engine span sink as it needs), fanning events out to all of
   // them so `--check` and `--profile` compose; then the single-slot fault
-  // model (`--faults`) and match policy (src/simrace). A null product
-  // leaves the run byte-identical to an unarmed one.
+  // model (`--faults`). A null product leaves the run byte-identical to an
+  // unarmed one.
   const sim::RunContext* ctx = sim::current_run_context();
   if (ctx == nullptr) return;
   for (const auto& factory : ctx->world_observers) {
@@ -614,12 +601,6 @@ World::World(sim::Engine& engine, machine::Network& network,
     if (auto model = ctx->world_faults(*this)) {
       fault_model_owned_ = std::move(model);
       set_fault_model(fault_model_owned_.get());
-    }
-  }
-  if (ctx->world_match_policy) {
-    if (auto policy = ctx->world_match_policy(*this)) {
-      match_policy_owned_ = std::move(policy);
-      set_match_policy(match_policy_owned_.get());
     }
   }
 }

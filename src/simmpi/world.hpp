@@ -200,11 +200,6 @@ class Rank {
   /// per-message verdict. Deliberately independent of the observer id
   /// space so `--check`/`--profile` cannot perturb fault draws.
   std::uint64_t send_serial_ = 0;
-  /// Count of receives this rank posted with src == kAny, in program
-  /// order; keys MatchPolicy::forced_source so a forcing schedule names
-  /// the same receive across replays. Only advanced while a policy is
-  /// attached (clean runs skip the bookkeeping entirely).
-  int wildcard_serial_ = 0;
   std::deque<std::unique_ptr<Envelope>> unexpected_;
   std::deque<PendingRecv*> pending_;
 };
@@ -253,14 +248,6 @@ class World {
   }
   const machine::FaultModel* fault_model() const { return fault_model_; }
 
-  /// Attaches a wildcard-match policy (see observer.hpp: MatchPolicy).
-  /// The policy must outlive the run; nullptr restores arrival-order
-  /// matching. A World constructed under a RunContext with a match-policy
-  /// factory owns its product and attaches it automatically —
-  /// src/simrace's exploration path.
-  void set_match_policy(MatchPolicy* policy) { match_policy_ = policy; }
-  MatchPolicy* match_policy() const { return match_policy_; }
-
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
@@ -303,8 +290,6 @@ class World {
   std::unique_ptr<ObserverFanout> fanout_;  // when several factories installed
   machine::FaultModel* fault_model_ = nullptr;
   std::shared_ptr<machine::FaultModel> fault_model_owned_;  // factory product
-  MatchPolicy* match_policy_ = nullptr;
-  std::shared_ptr<MatchPolicy> match_policy_owned_;  // factory product
   RetryPolicy retry_policy_;
   std::uint64_t messages_dropped_ = 0;
   std::uint64_t retries_ = 0;

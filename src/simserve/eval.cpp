@@ -4,8 +4,6 @@
 
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
-#include "machine/transport.hpp"
-#include "simrace/explorer.hpp"
 
 namespace columbia::simserve {
 
@@ -23,22 +21,6 @@ EvalFn registry_eval() {
     out.check_clean = r.check_clean;
     if (spec.check) out.check_json = r.check_json;
     if (spec.profile) out.profile_json = r.profile_json;
-    if (!out.ok || !spec.race_explore) return out;
-
-    // race_explore rides in the spec hash but core cannot run it (simrace
-    // sits above core); this is the layer that can. Each explored
-    // execution runs under its own RunContext, so exploration overlaps
-    // other evaluations freely.
-    const auto* exp = core::find_experiment(spec.experiment);
-    simrace::ExploreOptions ropts;
-    ropts.max_execs = spec.max_execs;
-    std::string unused;  // evaluate() has already rejected a bad transport
-    (void)machine::parse_transport(spec.transport, ropts.transport, unused);
-    const auto result = simrace::explore(
-        [exp] { return exp->run_exec(core::Exec::sequential()).render(); },
-        ropts);
-    out.races = static_cast<int>(result.divergences.size());
-    out.race_summary = result.render(spec.experiment);
     return out;
   };
 }

@@ -27,6 +27,11 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     return false;
   }
   Request req;
+  // Taken before any field can fail, so the error line echoes the id
+  // wherever it sits in the object.
+  if (const json::Value* id = doc.find("id"); id && id->is_string()) {
+    out.id = id->as_string();
+  }
   bool have_op = false;
   bool have_spec = false;
   for (const auto& [key, value] : doc.members()) {
@@ -125,10 +130,6 @@ std::string result_line(const std::string& id, const Response& response) {
   }
   if (!o.profile_json.empty()) {
     out += ",\"profile_json\":" + json::quote(o.profile_json);
-  }
-  if (!o.race_summary.empty()) {
-    out += ",\"races\":" + std::to_string(o.races);
-    out += ",\"race_summary\":" + json::quote(o.race_summary);
   }
   return out + "}";
 }

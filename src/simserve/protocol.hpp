@@ -19,9 +19,10 @@
 /// (or cache/coalesce shortcut) finishes:
 ///   {"id":"r1","status":"queued","spec_hash":"<16 hex>"}
 ///   {"id":"r1","status":"done","ok":true,"cached":false,...,"report":"..."}
-/// Malformed requests get a single {"status":"error",...} line. Clients
-/// correlate by id (or spec_hash); responses from concurrent evals may
-/// interleave in completion order.
+/// Malformed requests get a single {"status":"error",...} line, carrying
+/// the request's "id" when that field is a string. Clients correlate by
+/// id (or spec_hash); responses from concurrent evals may interleave in
+/// completion order.
 
 #include <string>
 #include <vector>
@@ -39,7 +40,8 @@ struct Request {
 };
 
 /// Parses one request line. False (with `error` filled) on malformed
-/// JSON, an unknown op, an unknown envelope field, or a bad spec.
+/// JSON, an unknown op, an unknown envelope field, or a bad spec; `out.id`
+/// then still holds the line's string "id", if it has one.
 bool parse_request(const std::string& line, Request& out, std::string& error);
 
 /// {"id":...,"status":"error","error":...} — also for pre-spec failures.

@@ -63,7 +63,7 @@ bool handle_line(const std::string& line, Service& service,
   Request req;
   std::string err;
   if (!parse_request(line, req, err)) {
-    state->write_line(error_line("", err));
+    state->write_line(error_line(req.id, err));
     return false;
   }
   switch (req.op) {

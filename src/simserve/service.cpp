@@ -9,8 +9,7 @@ namespace columbia::simserve {
 
 std::size_t outcome_bytes(const EvalOutcome& outcome) {
   return sizeof(EvalOutcome) + outcome.error.size() + outcome.report.size() +
-         outcome.check_json.size() + outcome.profile_json.size() +
-         outcome.race_summary.size();
+         outcome.check_json.size() + outcome.profile_json.size();
 }
 
 Service::Service(EvalFn eval, Options opts) : eval_(std::move(eval)) {

@@ -19,9 +19,8 @@
 /// exceeds the budget.
 ///
 /// The evaluation function itself is injected (`EvalFn`), for two
-/// reasons. Layering: the registry-backed evaluator (core::Evaluator,
-/// plus simrace exploration for race_explore specs) lives in eval.cpp so
-/// this file stays registry-free. Testing: the sanitizer variants compile
+/// reasons. Layering: the registry-backed evaluator (core::Evaluator)
+/// lives in eval.cpp so this file stays registry-free. Testing: the sanitizer variants compile
 /// the queue/cache/coalescing machinery with a stub evaluator and hammer
 /// it from many threads without paying for registry runs.
 ///
@@ -47,8 +46,7 @@
 namespace columbia::simserve {
 
 /// What evaluating one spec produced. A deliberately flat mirror of
-/// core::EvalResult (plus the race-exploration fields the service layer
-/// adds) so this header does not pull in the registry stack.
+/// core::EvalResult so this header does not pull in the registry stack.
 struct EvalOutcome {
   bool ok = false;
   std::string error;        ///< set when !ok
@@ -58,8 +56,6 @@ struct EvalOutcome {
   bool check_clean = true;  ///< meaningful when the spec armed simcheck
   std::string check_json;   ///< "" unless spec.check
   std::string profile_json; ///< "" unless spec.profile
-  int races = 0;            ///< confirmed divergences (race_explore specs)
-  std::string race_summary; ///< ExploreResult::render bytes, "" otherwise
 };
 
 /// What one cached outcome counts against the cache budget: the struct

@@ -33,8 +33,8 @@ TEST(Registry, CoversEveryPaperArtifact) {
   EXPECT_EQ(paper_artifact_count(), 14);
 }
 
-// Ids name output files (CSVs, profile artifacts, race schedules) as they
-// are, so they stay within [a-z0-9-].
+// Ids name output files (CSVs and profile artifacts) as they are, so they
+// stay within [a-z0-9-].
 TEST(Registry, IdsAreUniqueAndRunnable) {
   std::set<std::string> seen;
   for (const auto& e : experiment_registry()) {

@@ -71,7 +71,7 @@ core::RunOptionsParser test_parser() {
   return core::RunOptionsParser(
       "test_bin", "[options] [id...]",
       {"--list", "--filter", "--jobs", "--out", "--check", "--profile",
-       "--faults", "--transport", "--max-execs"});
+       "--faults", "--transport"});
 }
 
 bool parse_argv(const core::RunOptionsParser& parser,
@@ -87,7 +87,7 @@ TEST(RunOptions, SharedFlags) {
   ASSERT_TRUE(parse_argv(parser,
                          {"--filter", "ext-", "--check", "--profile",
                           "--faults", "7:0.25", "--out", "dir",
-                          "--transport", "flow", "--max-execs", "5", "fig5"},
+                          "--transport", "flow", "fig5"},
                          opts));
   ASSERT_EQ(opts.filters.size(), 1u);
   EXPECT_EQ(opts.filters[0], "ext-");
@@ -97,7 +97,6 @@ TEST(RunOptions, SharedFlags) {
   EXPECT_EQ(opts.spec.fault_seed, 7u);
   EXPECT_DOUBLE_EQ(opts.spec.fault_intensity, 0.25);
   EXPECT_EQ(opts.spec.transport, "flow");
-  EXPECT_EQ(opts.spec.max_execs, 5);
   EXPECT_EQ(opts.out, "dir");
   ASSERT_EQ(opts.ids.size(), 1u);
   EXPECT_EQ(opts.ids[0], "fig5");
@@ -145,7 +144,7 @@ TEST(RunOptions, UnnamedSharedFlagIsRejected) {
                                       {"--list", "--jobs"});
   core::RunOptions opts;
   for (const char* flag : {"--check", "--profile", "--filter", "--out",
-                           "--max-execs", "--transport", "--faults"}) {
+                           "--transport", "--faults"}) {
     EXPECT_FALSE(parse_argv(parser, {flag}, opts)) << flag;
   }
   EXPECT_FALSE(opts.spec.check);
@@ -169,7 +168,7 @@ TEST(RunOptions, GeneratedHelpListsSharedAndCustomFlags) {
   const std::string help = parser.help();
   for (const char* flag : {"--list", "--filter", "--check", "--profile",
                            "--jobs", "--out", "--faults", "--transport",
-                           "--max-execs", "--repeat", "--help"}) {
+                           "--repeat", "--help"}) {
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
   }
   EXPECT_EQ(help.find("--parallel"), std::string::npos);

@@ -433,30 +433,32 @@ TEST(RankIo, NfsChunksRideTheFabric) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-run stats sink
+// Accounting
 
-TEST(ContextStats, CollectsAcrossFilesystemLifetimes) {
-  sim::RunContext ctx;
-  ctx.io_stats = std::make_shared<sim::Sink<IoStats>>();
-  {
-    const sim::RunScope scope(ctx);
-    EXPECT_EQ(sim::current_run_context(), &ctx);
-    (void)simulated_write_time(FilesystemSpec::shared_parallel(), 4, 1e7);
-    (void)simulated_read_time(FilesystemSpec::nfs_over_gige(), 2, 1e6);
-    const IoStats stats = ctx.io_stats->take();
-    EXPECT_EQ(stats.filesystems, 2u);
-    EXPECT_EQ(stats.opens, 6u);
-    EXPECT_EQ(stats.writes, 4u);
-    EXPECT_EQ(stats.reads, 2u);
-    EXPECT_GT(stats.chunks, 0u);
-    EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_written), 4e7);
-    EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_read), 2e6);
+sim::Task transfer_job(Filesystem& fs, int cpu, double bytes, bool is_read) {
+  File f = fs.file(cpu);
+  co_await f.open();
+  if (is_read) {
+    co_await f.read(bytes);
+  } else {
+    co_await f.write(bytes);
   }
-  EXPECT_EQ(sim::current_run_context(), nullptr);
-  // Out of scope: new filesystems no longer publish.
-  (void)simulated_write_time(FilesystemSpec::shared_parallel(), 1, 1e6);
-  const IoStats after = ctx.io_stats->take();
-  EXPECT_EQ(after.filesystems, 0u);
+  co_await f.close();
+}
+
+TEST(Filesystem, StatsCountOpensTransfersChunksAndBytes) {
+  sim::Engine engine;
+  Filesystem fs(engine, FilesystemSpec::shared_parallel());
+  for (int c = 0; c < 4; ++c) engine.spawn(transfer_job(fs, c, 1e7, false));
+  for (int c = 4; c < 6; ++c) engine.spawn(transfer_job(fs, c, 1e6, true));
+  engine.run();
+  const IoStats& stats = fs.stats();
+  EXPECT_EQ(stats.opens, 6u);
+  EXPECT_EQ(stats.writes, 4u);
+  EXPECT_EQ(stats.reads, 2u);
+  EXPECT_GT(stats.chunks, 0u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_written), 4e7);
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_read), 2e6);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // The effect-analysis suite: the function-summary IR (scanner + fixpoint)
 // on synthetic sources, the two interprocedural passes over their
 // fixtures with exact line assertions, golden effect sets for known
-// functions of the real tree (SIMLINT_SOURCE_ROOT), seam validation, the
-// suppression-rationale contract, the SARIF envelope, and the
-// pdes-readiness certificate.
+// functions of the real tree (SIMLINT_SOURCE_ROOT), seam validation, and
+// the suppression-rationale contract.
 
 #include <gtest/gtest.h>
 
@@ -247,8 +246,8 @@ class GoldenEffects : public ::testing::Test {
     for (const char* f :
          {"src/sim/engine.cpp", "src/core/evaluator.cpp",
           "src/simmpi/world.cpp", "src/simio/filesystem.cpp",
-          "src/common/rng.cpp", "src/simrace/explorer.cpp",
-          "src/common/parallel.cpp", "src/sim/run_context.cpp"}) {
+          "src/common/rng.cpp", "src/common/parallel.cpp",
+          "src/sim/run_context.cpp"}) {
       collect_effects(f, lex(read_file(source_root() + "/" + f)), *index_);
     }
     finalize_effects(*index_);
@@ -324,70 +323,6 @@ TEST_F(GoldenEffects, RngIsTheSanctionedEntropyHome) {
   EXPECT_TRUE(next.nondet_sites.empty())
       << "common/rng is exempt from the nondet matcher";
   EXPECT_TRUE(rank_local_only(fn("Rng::normal").effects));
-}
-
-// --- SARIF ------------------------------------------------------------------
-
-TEST(Sarif, EnvelopeCarriesRulesResultsAndLocations) {
-  const std::string sarif =
-      render_sarif(lint_fixture("cross_rank_shared_mutable_pos.cpp"));
-  EXPECT_NE(sarif.find("\"$schema\": "
-                       "\"https://json.schemastore.org/sarif-2.1.0.json\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"simlint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"cross-rank-shared-mutable\""),
-            std::string::npos)
-      << "rule catalogue entry";
-  EXPECT_NE(sarif.find("\"ruleId\": \"cross-rank-shared-mutable\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 11"), std::string::npos);
-  EXPECT_NE(sarif.find("\"uri\": \"cross_rank_shared_mutable_pos.cpp\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"executionSuccessful\": true"), std::string::npos);
-}
-
-TEST(Sarif, ErrorsBecomeToolNotifications) {
-  DriverOptions opts;
-  opts.root = fixture_dir();
-  opts.paths = {"does_not_exist.cpp"};
-  const std::string sarif = render_sarif(run(opts));
-  EXPECT_NE(sarif.find("\"executionSuccessful\": false"), std::string::npos);
-  EXPECT_NE(sarif.find("does_not_exist.cpp"), std::string::npos);
-}
-
-// --- PDES readiness ----------------------------------------------------------
-
-TEST(PdesReadiness, ABlockerMakesItsSubsystemNotReady) {
-  const RunResult result = lint_fixture("cross_rank_shared_mutable_pos.cpp");
-  EXPECT_NE(result.pdes_readiness.find("\"report\": \"pdes-readiness\""),
-            std::string::npos);
-  EXPECT_NE(result.pdes_readiness.find("\"ready\": false"),
-            std::string::npos);
-  EXPECT_NE(
-      result.pdes_readiness.find("\"rule\": \"cross-rank-shared-mutable\""),
-      std::string::npos);
-}
-
-TEST(PdesReadiness, SeamsAreListedWithTheirRationale) {
-  const RunResult result = lint_fixture("cross_rank_shared_mutable_neg.cpp");
-  EXPECT_NE(result.pdes_readiness.find("\"ready\": true"), std::string::npos);
-  EXPECT_NE(result.pdes_readiness.find("\"blockers\": []"),
-            std::string::npos);
-  EXPECT_NE(result.pdes_readiness.find("\"symbol\": \"seamed_bump\""),
-            std::string::npos);
-  EXPECT_NE(result.pdes_readiness.find("diagnostics counter sanctioned"),
-            std::string::npos);
-}
-
-TEST(PdesReadiness, TheRealTreeCertificateIsCleanInTheEngineCore) {
-  DriverOptions opts;
-  opts.root = source_root();
-  opts.paths = {"src/sim", "src/simmpi", "src/core"};
-  const RunResult result = run(opts);
-  EXPECT_TRUE(result.errors.empty());
-  EXPECT_NE(result.pdes_readiness.find("\"ready\": true"), std::string::npos)
-      << result.pdes_readiness;
 }
 
 }  // namespace

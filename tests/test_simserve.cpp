@@ -72,12 +72,11 @@ using core::ScenarioSpec;
 TEST(SpecHash, GoldenStability) {
   ScenarioSpec a;
   a.experiment = "fig5";
-  EXPECT_EQ(a.hash_hex(), "618250c1f681a63e");
+  EXPECT_EQ(a.hash_hex(), "338849ce645c27c5");
   EXPECT_EQ(a.canonical_json(),
             "{\"experiment\":\"fig5\",\"label\":\"\",\"transport\":\"event\","
             "\"check\":false,\"profile\":false,\"faults\":false,"
-            "\"fault_seed\":0,\"fault_intensity\":0,\"race_explore\":false,"
-            "\"max_execs\":64}");
+            "\"fault_seed\":0,\"fault_intensity\":0}");
 
   ScenarioSpec b;
   b.experiment = "table6";
@@ -87,7 +86,7 @@ TEST(SpecHash, GoldenStability) {
   b.faults = true;
   b.fault_seed = 42;
   b.fault_intensity = 0.5;
-  EXPECT_EQ(b.hash_hex(), "1eae4b510c189e36");
+  EXPECT_EQ(b.hash_hex(), "12e4d637d35a070d");
 }
 
 TEST(SpecHash, LabelPartitionsTheKey) {
@@ -108,8 +107,6 @@ TEST(SpecJson, RoundTripIdentity) {
   spec.faults = true;
   spec.fault_seed = 7;
   spec.fault_intensity = 0.25;
-  spec.race_explore = true;
-  spec.max_execs = 17;
 
   ScenarioSpec back;
   std::string error;
@@ -138,12 +135,19 @@ TEST(SpecJson, FieldOrderDoesNotMatter) {
 // silent drop (a dropped field would alias two different requests onto
 // one cache key).
 TEST(SpecJson, UnknownFieldHardErrors) {
-  ScenarioSpec spec;
-  std::string error;
-  EXPECT_FALSE(ScenarioSpec::from_json(
-      "{\"experiment\":\"fig5\",\"chekc\":true}", spec, error));
-  EXPECT_NE(error.find("unknown scenario spec field \"chekc\""),
-            std::string::npos);
+  // "race_explore" and "max_execs" were spec fields once; an old client
+  // that still sends them gets an error, not a silently different spec.
+  for (const char* field : {"chekc", "race_explore", "max_execs"}) {
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(ScenarioSpec::from_json(
+        std::string("{\"experiment\":\"fig5\",\"") + field + "\":true}",
+        spec, error));
+    EXPECT_NE(error.find(std::string("unknown scenario spec field \"") +
+                         field + "\""),
+              std::string::npos)
+        << field;
+  }
 }
 
 TEST(SpecJson, ValidationHardErrors) {
@@ -156,8 +160,6 @@ TEST(SpecJson, ValidationHardErrors) {
       "{\"experiment\":\"fig5\",\"fault_intensity\":1.5}", spec, error));
   EXPECT_FALSE(ScenarioSpec::from_json(
       "{\"experiment\":\"fig5\",\"fault_seed\":-1}", spec, error));
-  EXPECT_FALSE(ScenarioSpec::from_json(
-      "{\"experiment\":\"fig5\",\"max_execs\":0}", spec, error));
   EXPECT_FALSE(ScenarioSpec::from_json("[1,2]", spec, error));
 }
 
@@ -552,19 +554,34 @@ TEST(ServeStream, MalformedLinesGetErrorResponses) {
   std::atomic<int> calls{0};
   simserve::Service service(counting_eval(calls));
   // A million nested arrays would overflow a recursive parser's stack;
-  // the session must answer with an error and go on serving.
-  std::istringstream in("{\"op\":\"warp\"}\nnot json\n\n" +
-                        std::string(1000000, '[') +
-                        "\n{\"op\":\"ping\"}\n");
+  // the session must answer with an error and go on serving. A request
+  // whose spec fails still gets its id back, on either side of the spec,
+  // and a spec field that no longer exists is an error, not dropped.
+  std::istringstream in(
+      "{\"op\":\"warp\"}\nnot json\n\n" + std::string(1000000, '[') +
+      "\n{\"op\":\"eval\",\"id\":\"6\",\"spec\":{\"experiment\":\"table1\","
+      "\"fault_seed\":1.5}}\n"
+      "{\"op\":\"eval\",\"spec\":{\"experiment\":\"table1\",\"fault_seed\":1.5},"
+      "\"id\":\"7\"}\n"
+      "{\"op\":\"eval\",\"id\":\"8\",\"spec\":{\"experiment\":\"table1\","
+      "\"race_explore\":true}}\n"
+      "{\"op\":\"ping\"}\n");
   std::ostringstream out;
   simserve::serve_stream(in, out, service);
   const auto lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 4u);  // blank line is ignored, not an error
-  for (std::size_t i = 0; i < 3; ++i) {
+  ASSERT_EQ(lines.size(), 7u);  // blank line is ignored, not an error
+  for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_NE(lines[i].find("\"status\":\"error\""), std::string::npos);
   }
   EXPECT_NE(lines[2].find("nesting deeper than 64 levels"), std::string::npos);
-  EXPECT_EQ(lines[3], "{\"status\":\"pong\"}");
+  const std::string bad_seed =
+      "\"status\":\"error\",\"error\":\"spec field \\\"fault_seed\\\" must be "
+      "a non-negative integer\"}";
+  EXPECT_EQ(lines[3], "{\"id\":\"6\"," + bad_seed);
+  EXPECT_EQ(lines[4], "{\"id\":\"7\"," + bad_seed);
+  EXPECT_EQ(lines[5].rfind("{\"id\":\"8\",", 0), 0u) << lines[5];
+  EXPECT_NE(lines[5].find("unknown scenario spec field"), std::string::npos);
+  EXPECT_EQ(lines[6], "{\"status\":\"pong\"}");
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -876,37 +893,6 @@ TEST(RegistryService, StdinModeServesRegistrySpecs) {
   EXPECT_NE(out.str().find("\"status\":\"done\""), std::string::npos);
   EXPECT_NE(out.str().find("### table2"), std::string::npos);
   EXPECT_NE(out.str().find("\"table6\""), std::string::npos);  // list op
-}
-
-// Race exploration arms its own contexts, so it no longer waits for (or
-// blocks) plain evaluations: run beside them through registry_eval(), it
-// returns the same race summary as run alone.
-TEST(RegistryService, RaceExploreBesidePlainEvaluationsMatchesAlone) {
-  const simserve::EvalFn eval = simserve::registry_eval();
-  ScenarioSpec race;
-  race.experiment = "sec42";
-  race.race_explore = true;
-  race.max_execs = 4;
-  const simserve::EvalOutcome alone = eval(race);
-  ASSERT_TRUE(alone.ok) << alone.error;
-  ASSERT_FALSE(alone.race_summary.empty());
-
-  std::atomic<bool> racing{true};
-  std::vector<std::thread> plain;
-  for (const char* id : {"table2", "ablation-cache"}) {
-    plain.emplace_back([&eval, &racing, id] {
-      ScenarioSpec spec;
-      spec.experiment = id;
-      while (racing.load()) EXPECT_TRUE(eval(spec).ok) << id;
-    });
-  }
-  const simserve::EvalOutcome beside = eval(race);
-  racing.store(false);
-  for (auto& t : plain) t.join();
-  ASSERT_TRUE(beside.ok) << beside.error;
-  EXPECT_EQ(beside.race_summary, alone.race_summary);
-  EXPECT_EQ(beside.races, alone.races);
-  EXPECT_EQ(beside.report, alone.report);
 }
 
 #endif  // COLUMBIA_SIMSERVE_NO_REGISTRY
