@@ -376,6 +376,39 @@ class Parser {
     return true;
   }
 
+  /// Length of the well-formed UTF-8 sequence at pos_ (lead byte >=
+  /// 0x80), or 0 for a bad lead or continuation byte, an overlong form, a
+  /// surrogate or a value above U+10FFFF.
+  std::size_t utf8_sequence_length() const {
+    const auto byte = [this](std::size_t i) {
+      return pos_ + i < text_.size()
+                 ? static_cast<unsigned char>(text_[pos_ + i])
+                 : 0u;
+    };
+    const unsigned lead = byte(0);
+    std::size_t len = 0;
+    unsigned lo = 0x80;  // range of the second byte
+    unsigned hi = 0xBF;
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      len = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      len = 3;
+      if (lead == 0xE0) lo = 0xA0;  // overlong
+      if (lead == 0xED) hi = 0x9F;  // surrogates
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      len = 4;
+      if (lead == 0xF0) lo = 0x90;  // overlong
+      if (lead == 0xF4) hi = 0x8F;  // above U+10FFFF
+    } else {
+      return 0;
+    }
+    if (byte(1) < lo || byte(1) > hi) return 0;
+    for (std::size_t i = 2; i < len; ++i) {
+      if (byte(i) < 0x80 || byte(i) > 0xBF) return 0;
+    }
+    return len;
+  }
+
   bool parse_string(std::string& out) {
     ++pos_;  // opening quote
     out.clear();
@@ -387,6 +420,13 @@ class Parser {
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         return fail("unescaped control character in string");
+      }
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        const std::size_t len = utf8_sequence_length();
+        if (len == 0) return fail("invalid UTF-8 in string");
+        out.append(text_, pos_, len);
+        pos_ += len;
+        continue;
       }
       if (c != '\\') {
         out += c;

@@ -13,9 +13,12 @@
 ///    document can be re-rendered or diffed deterministically, and lookup
 ///    is linear — documents here are tiny (a dozen keys);
 ///  * strict by default: trailing garbage, duplicate keys, bare NaN/Inf,
-///    and unescaped control characters are parse errors, and so is
-///    nesting deeper than 64 levels (the parser recurses per level; the
-///    scenario spec and the simserve protocol nest two deep);
+///    unescaped control characters and malformed UTF-8 in strings (a bad
+///    lead or continuation byte, an overlong form, a surrogate, a value
+///    above U+10FFFF) are parse errors, and so is nesting deeper than 64
+///    levels (the parser recurses per level; the scenario spec and the
+///    simserve protocol nest two deep). A parsed string is therefore
+///    valid UTF-8, and so is any JSON written from it;
 ///  * `\uXXXX` escapes decode to UTF-8 (surrogate pairs included).
 ///
 /// `escape()` / `dump()` cover the write side where a value (e.g. a

@@ -42,24 +42,12 @@ FlowSolver::FlowSolver(sim::Engine& engine,
   link_stamp_.assign(n, 0);
   link_adj_at_.assign(n, 0);
   link_adj_end_.assign(n, 0);
-  pump_ = make_pump();
-  // Park the pump at its first co_await so every scheduled resume runs
-  // exactly one on_wake.
-  pump_.handle.resume();
 }
 
 FlowSolver::~FlowSolver() {
-  // Defensive: revoke an armed timer so a later engine run cannot resume
-  // into a destroyed frame (normal runs drain the queue before teardown).
+  // Defensive: revoke an armed wake so a later engine run cannot call
+  // into a destroyed solver (normal runs drain the queue before teardown).
   if (wake_pending_) engine_->cancel_scheduled(wake_token_);
-  if (pump_.handle) pump_.handle.destroy();
-}
-
-FlowSolver::PumpTask FlowSolver::make_pump() {
-  for (;;) {
-    co_await std::suspend_always{};
-    on_wake();
-  }
 }
 
 void FlowSolver::heap_push(Due d) {
@@ -69,7 +57,7 @@ void FlowSolver::heap_push(Due d) {
 
 void FlowSolver::start_flow(const PathRef& path, double bytes,
                             double rate_cap, double latency,
-                            std::coroutine_handle<> cont) {
+                            sim::Callback done) {
   COL_REQUIRE(bytes > 0.0, "flow with no payload");
   COL_REQUIRE(rate_cap > 0.0, "flow with a non-positive rate cap");
   COL_REQUIRE(latency >= 0.0, "negative flow latency");
@@ -93,7 +81,7 @@ void FlowSolver::start_flow(const PathRef& path, double bytes,
   f.accounted = now;
   f.completion_time = std::numeric_limits<double>::infinity();
   f.seq = next_seq_++;
-  f.cont = cont;
+  f.done = done;
   f.links = path.links;
   f.nlinks = path.nlinks;
   f.alive = true;
@@ -222,9 +210,9 @@ void FlowSolver::pop_due(double now) {
     comp_heap_.pop_back();
     Flow& f = flows_[static_cast<std::size_t>(d.slot)];
     if (!f.alive || f.seq != d.seq) continue;  // stale entry
-    // The drain is done: release the shares and resume the awaiter
+    // The drain is done: release the shares and run the flow's callback
     // `latency` later (wire latency folded into this one event).
-    engine_->schedule_at(now + f.latency, f.cont);
+    engine_->schedule_at(now + f.latency, f.done);
     for (int k = 0; k < f.nlinks; ++k) {
       link_used_[static_cast<std::size_t>(
           f.links[static_cast<std::size_t>(k)])] -= f.share;
@@ -232,7 +220,7 @@ void FlowSolver::pop_due(double now) {
     const auto links = f.links;
     const int nlinks = f.nlinks;
     f.alive = false;
-    f.cont = nullptr;
+    f.done = {};
     free_.push_back(d.slot);
     --alive_;
     ++flows_completed_;
@@ -440,7 +428,8 @@ void FlowSolver::arm_wake() {
     if (wake_target_ <= target) return;
     engine_->cancel_scheduled(wake_token_);
   }
-  wake_token_ = engine_->schedule_cancellable_at(target, pump_.handle);
+  wake_token_ = engine_->schedule_cancellable_at(
+      target, sim::Callback::method<&FlowSolver::on_wake>(this));
   wake_pending_ = true;
   wake_target_ = target;
 }

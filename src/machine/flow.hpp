@@ -43,12 +43,14 @@
 /// history (fixed iteration order, ties broken on indices), so repeated
 /// runs are byte-identical.
 ///
-/// A completed flow's awaiting coroutine is resumed `latency` seconds
-/// after its drain finishes (wire/protocol latency is folded into the
-/// completion event), so one transfer costs one engine event plus a
-/// shared, amortized settle/solve — this is where the flow backend's
-/// event-count and wall-time headroom over the per-hop event model comes
-/// from on contention-heavy patterns.
+/// A completed flow's callback runs `latency` seconds after its drain
+/// finishes (wire/protocol latency is folded into the completion event),
+/// so one transfer costs one engine event plus a shared, amortized
+/// settle/solve — this is where the flow backend's event-count and
+/// wall-time headroom over the per-hop event model comes from on
+/// contention-heavy patterns. The solver's own wake-up is one cancellable
+/// callback event, retargeted as the flow set changes; an armed wake is
+/// not a live task, so it never hides a deadlock.
 
 #include <array>
 #include <coroutine>
@@ -79,9 +81,13 @@ class FlowSolver {
   FlowSolver(const FlowSolver&) = delete;
   FlowSolver& operator=(const FlowSolver&) = delete;
 
-  /// Awaitable: registers a flow of `bytes` over `path`, draining at
-  /// min(rate_cap, fair share) and resuming the awaiter `latency` seconds
-  /// after the drain completes.
+  /// Registers a flow of `bytes` over `path`, draining at min(rate_cap,
+  /// fair share); an event runs `done` `latency` seconds after the drain
+  /// completes.
+  void start_flow(const PathRef& path, double bytes, double rate_cap,
+                  double latency, sim::Callback done);
+
+  /// Awaitable form of start_flow: resumes the awaiter instead.
   auto drain(const PathRef& path, double bytes, double rate_cap,
              double latency) {
     struct Awaiter {
@@ -92,7 +98,8 @@ class FlowSolver {
       double latency;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        solver->start_flow(path, bytes, rate_cap, latency, h);
+        solver->start_flow(path, bytes, rate_cap, latency,
+                           sim::Callback::resume(h));
       }
       void await_resume() const noexcept {}
     };
@@ -128,7 +135,7 @@ class FlowSolver {
     double completion_time;   ///< projected finish under `rate`
     int parked_on = -1;       ///< blocked link while share < 0, else unused
     std::uint64_t seq = 0;    ///< admission ticket (stale-entry guard)
-    std::coroutine_handle<> cont;
+    sim::Callback done;
     std::array<int, kMaxPathLinks> links{};
     /// Capacity held idle on links[0..nheld) while parked (the event
     /// backend's hold-while-queued, fluidized to min(1, what was free)).
@@ -138,28 +145,7 @@ class FlowSolver {
     bool alive = false;
   };
 
-  /// Manually driven pump coroutine: parked at a co_await, resumed only by
-  /// the solver's scheduled timer. Not engine-spawned, so an armed timer
-  /// never counts as a live task (the deadlock detector stays accurate).
-  struct PumpTask {
-    struct promise_type {
-      PumpTask get_return_object() {
-        return PumpTask{
-            std::coroutine_handle<promise_type>::from_promise(*this)};
-      }
-      std::suspend_always initial_suspend() noexcept { return {}; }
-      std::suspend_always final_suspend() noexcept { return {}; }
-      void return_void() noexcept {}
-      /// A solver invariant violation mid-pump has no task to propagate
-      /// through; treat it as fatal.
-      void unhandled_exception() noexcept { std::terminate(); }
-    };
-    std::coroutine_handle<promise_type> handle;
-  };
-
-  void start_flow(const PathRef& path, double bytes, double rate_cap,
-                  double latency, std::coroutine_handle<> cont);
-  PumpTask make_pump();
+  /// The wake event: completes due flows, settles, re-arms.
   void on_wake();
   /// Pops and completes every heap entry due at `now`; each completion
   /// hands its freed capacity to parked waiters in park order.
@@ -233,7 +219,6 @@ class FlowSolver {
   bool wake_pending_ = false;
   double wake_target_ = 0.0;
   std::uint64_t wake_token_ = 0;
-  PumpTask pump_{};
 
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;

@@ -78,24 +78,26 @@ Network::Path Network::classify(int src, int dst) const {
   return p;
 }
 
-sim::CoTask<void> Network::transfer(int src, int dst, double bytes) {
+bool Network::inject(Transfer& t) {
+  const int src = t.src_;
+  const int dst = t.dst_;
+  const double bytes = t.bytes_;
   COL_REQUIRE(src >= 0 && src < cluster_->total_cpus(), "src out of range");
   COL_REQUIRE(dst >= 0 && dst < cluster_->total_cpus(), "dst out of range");
   COL_REQUIRE(bytes >= 0, "negative message size");
-
-  const double span_begin = engine_->now();
+  t.net_ = this;
+  t.begin_ = engine_->now();
+  const auto land = sim::Callback::method<&Transfer::land>(&t);
 
   if (src == dst) {
     // Local self-message: a memcpy.
     if (bytes > 0) {
-      co_await engine_->delay(bytes /
-                              cluster_->node_spec().mem.cpu_stream_bw);
+      engine_->schedule_after(
+          bytes / cluster_->node_spec().mem.cpu_stream_bw, land);
+      return false;
     }
-    ++transfers_completed_;
-    if (auto* sink = engine_->span_sink()) {
-      sink->on_span({src, sim::SpanKind::Wire, span_begin, engine_->now()});
-    }
-    co_return;
+    complete(t);
+    return true;
   }
 
   double lat = cluster_->latency(src, dst);
@@ -105,11 +107,11 @@ sim::CoTask<void> Network::transfer(int src, int dst, double bytes) {
   // Degraded-fabric state is sampled once, at injection time, so a
   // transfer's cost is a pure function of (path, bytes, start time).
   if (fault_model_ != nullptr && path.cross_node) {
-    const double factor = fault_model_->bandwidth_factor(src, dst, span_begin);
+    const double factor = fault_model_->bandwidth_factor(src, dst, t.begin_);
     COL_REQUIRE(factor > 0.0 && factor <= 1.0,
                 "fault bandwidth factor outside (0, 1]");
     bw *= factor;
-    const double reroute = fault_model_->added_latency(src, dst, span_begin);
+    const double reroute = fault_model_->added_latency(src, dst, t.begin_);
     COL_REQUIRE(reroute >= 0.0, "negative fault reroute latency");
     lat += reroute;
   }
@@ -117,7 +119,7 @@ sim::CoTask<void> Network::transfer(int src, int dst, double bytes) {
   if (transport_ == TransportModel::Flow) {
     if (bytes > 0) {
       // One flow over the same serialization points the event backend
-      // queues through; the solver resumes us `lat` after the drain ends.
+      // queues through; the solver calls back `lat` after the drain ends.
       FlowSolver::PathRef ref;
       ref.links[static_cast<std::size_t>(ref.nlinks++)] = src;  // injection
       if (path.cross_node) {
@@ -135,58 +137,74 @@ sim::CoTask<void> Network::transfer(int src, int dst, double bytes) {
         ref.links[static_cast<std::size_t>(ref.nlinks++)] =
             link_bus_ingress_base_ + path.dst_bus;
       }
-      co_await flow_->drain(ref, bytes, bw, lat);
+      flow_->start_flow(ref, bytes, bw, lat, land);
     } else {
       // Pure handshake: latency only, exactly as the event backend (whose
       // zero-byte transfers hold their resources for zero time).
-      co_await engine_->delay(lat);
+      engine_->schedule_after(lat, land);
     }
-    ++transfers_completed_;
-    if (auto* sink = engine_->span_sink()) {
-      sink->on_span({src, sim::SpanKind::Wire, span_begin, engine_->now()});
-    }
-    co_return;
+    return false;
   }
 
-  const double duration = bytes > 0 ? bytes / bw : 0.0;
-
-  sim::Resource& inj = *injection_[static_cast<std::size_t>(src)];
-  co_await inj.acquire();
-
-  // Acquisition order: egress -> spine -> ingress (globally consistent,
-  // therefore cycle-free).
-  sim::Resource* egress = nullptr;
-  sim::Resource* spine = nullptr;
-  sim::Resource* ingress = nullptr;
+  t.latency_ = lat;
+  t.hold_ = bytes > 0 ? bytes / bw : 0.0;
+  // Acquisition order: injection -> egress -> spine -> ingress (globally
+  // consistent, therefore cycle-free).
+  t.npath_ = 0;
+  t.held_ = 0;
+  const auto hop = [&t](const auto& resources, int i) {
+    t.path_[static_cast<std::size_t>(t.npath_++)] =
+        resources[static_cast<std::size_t>(i)].get();
+  };
+  hop(injection_, src);
   if (path.cross_node) {
-    egress = node_egress_[static_cast<std::size_t>(path.src_node)].get();
-    ingress = node_ingress_[static_cast<std::size_t>(path.dst_node)].get();
+    hop(node_egress_, path.src_node);
+    hop(node_ingress_, path.dst_node);
   } else if (path.cross_bus) {
-    egress = bus_egress_[static_cast<std::size_t>(path.src_bus)].get();
-    ingress = bus_ingress_[static_cast<std::size_t>(path.dst_bus)].get();
-    if (path.cross_brick) {
-      spine = spine_[static_cast<std::size_t>(path.src_node)].get();
+    hop(bus_egress_, path.src_bus);
+    if (path.cross_brick) hop(spine_, path.src_node);
+    hop(bus_ingress_, path.dst_bus);
+  }
+  t.acquire_path();
+  return false;
+}
+
+void Network::Transfer::acquire_path() {
+  while (held_ < npath_) {
+    sim::Resource& hop = *path_[static_cast<std::size_t>(held_++)];
+    if (!hop.acquire(1, sim::Callback::method<&Transfer::acquire_path>(this))) {
+      return;  // the grant takes the unit for us and calls back here
     }
   }
-  if (egress != nullptr) co_await egress->acquire();
-  if (spine != nullptr) co_await spine->acquire();
-  if (ingress != nullptr) co_await ingress->acquire();
+  if (hold_ > 0) {
+    net_->engine_->schedule_after(
+        hold_, sim::Callback::method<&Transfer::release_path>(this));
+    return;
+  }
+  release_path();
+}
 
-  if (duration > 0) co_await engine_->delay(duration);
-
-  if (ingress != nullptr) ingress->release();
-  if (spine != nullptr) spine->release();
-  if (egress != nullptr) egress->release();
-  inj.release();
-
+void Network::Transfer::release_path() {
+  for (int i = npath_ - 1; i >= 0; --i) {
+    path_[static_cast<std::size_t>(i)]->release();
+  }
   // Wire/protocol latency after the serialization segment; the receiver
-  // observes arrival when this coroutine completes.
-  co_await engine_->delay(lat);
+  // observes arrival when this event runs.
+  net_->engine_->schedule_after(
+      latency_, sim::Callback::method<&Transfer::land>(this));
+}
+
+void Network::Transfer::land() {
+  net_->complete(*this);
+  done_();  // last: it may resume a coroutine that frees this record
+}
+
+void Network::complete(const Transfer& t) {
   ++transfers_completed_;
   // Span hook: one Wire span per transfer, covering queueing + hold +
   // latency, on the source CPU's track (pure listener, no timing effect).
   if (auto* sink = engine_->span_sink()) {
-    sink->on_span({src, sim::SpanKind::Wire, span_begin, engine_->now()});
+    sink->on_span({t.src_, sim::SpanKind::Wire, t.begin_, engine_->now()});
   }
 }
 

@@ -1,7 +1,10 @@
 #pragma once
 /// \file network.hpp
 /// Engine-bound contended network for a Cluster, with two selectable
-/// transport backends behind one coroutine interface (transport.hpp):
+/// transport backends behind one interface (transport.hpp). A transfer is
+/// a caller-owned `Network::Transfer` record stepped by callback events
+/// (inject()), so it costs events but no coroutine frame; `transfer()`
+/// wraps one record in an awaitable for coroutine callers:
 ///
 /// TransportModel::Event — every simulated message moves through shared
 /// resources exactly where the hardware serializes:
@@ -16,7 +19,8 @@
 /// Transfers hold their path's resources for bytes/bottleneck_bw seconds
 /// (store-and-forward at message granularity), then incur the path's wire
 /// latency. Resources are acquired in a fixed global order (injection ->
-/// egress -> spine -> ingress), so no simulated deadlocks are possible.
+/// egress -> spine -> ingress) and released in reverse, so no simulated
+/// deadlocks are possible.
 ///
 /// TransportModel::Flow — the same links and capacities feed a fluid
 /// max-min fair bandwidth-sharing solver (flow.hpp): a transfer is one
@@ -33,6 +37,8 @@
 /// workloads, simcheck, simprof, and simfault behave identically under
 /// either.
 
+#include <array>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -43,7 +49,6 @@
 #include "machine/transport.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
-#include "sim/task.hpp"
 
 namespace columbia::machine {
 
@@ -66,9 +71,63 @@ class Network {
   void set_fault_model(const FaultModel* model) { fault_model_ = model; }
   const FaultModel* fault_model() const { return fault_model_; }
 
-  /// Moves `bytes` from `src` to `dst` (global CPU ids). The coroutine
-  /// completes at delivery time. `bytes == 0` models a pure handshake.
-  sim::CoTask<void> transfer(int src, int dst, double bytes);
+  /// One transfer in flight, in storage its caller owns until it
+  /// completes: `bytes` from `src` to `dst` (global CPU ids); `bytes == 0`
+  /// models a pure handshake. inject() steps it through callback events:
+  /// the self copy; on the event backend, acquire the path in order, hold
+  /// it for the serialization time, release it in reverse, then the
+  /// latency; on the flow backend, the drain.
+  class Transfer {
+   public:
+    Transfer() = default;
+    /// `done` runs, inside the event that completes the transfer, at
+    /// delivery time (unless inject() returns true).
+    Transfer(int src, int dst, double bytes, sim::Callback done)
+        : src_(src), dst_(dst), bytes_(bytes), done_(done) {}
+
+   private:
+    friend class Network;
+    /// Acquires the rest of the path; the grant callback of a queued hop.
+    void acquire_path();
+    /// Releases the path and schedules the latency.
+    void release_path();
+    /// Delivery: counts the transfer, emits its span, runs `done_`.
+    void land();
+
+    int src_ = 0;
+    int dst_ = 0;
+    double bytes_ = 0.0;
+    sim::Callback done_;
+    Network* net_ = nullptr;
+    double begin_ = 0.0;    ///< injection time (span start)
+    double latency_ = 0.0;  ///< after the serialization segment
+    double hold_ = 0.0;     ///< serialization time on the path
+    /// Injection, then egress, spine and ingress where the path crosses
+    /// them; path_[0..held_) are acquired.
+    std::array<sim::Resource*, 4> path_{};
+    int npath_ = 0;
+    int held_ = 0;
+  };
+
+  /// Injects `t` now. Returns true when it completed at once (a zero-byte
+  /// self-message); otherwise `t`'s callback runs at delivery time.
+  bool inject(Transfer& t);
+
+  /// Awaitable: `co_await network.transfer(src, dst, bytes)` completes at
+  /// delivery time, over a Transfer record held in the awaiting frame.
+  auto transfer(int src, int dst, double bytes) {
+    struct Awaiter {
+      Network& net;
+      Transfer t;
+      bool await_ready() const noexcept { return false; }
+      bool await_suspend(std::coroutine_handle<> h) {
+        t.done_ = sim::Callback::resume(h);
+        return !net.inject(t);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, Transfer(src, dst, bytes, {})};
+  }
 
   /// Time a lone `bytes`-message would take with zero contention; used by
   /// analytic cost models and tests. Identical under both transports.
@@ -91,6 +150,8 @@ class Network {
     bool cross_brick;
   };
   Path classify(int src, int dst) const;
+  /// Counts a finished transfer and emits its Wire span.
+  void complete(const Transfer& t);
 
   sim::Engine* engine_;
   const Cluster* cluster_;

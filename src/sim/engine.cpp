@@ -47,11 +47,12 @@ Engine::Engine() {
 
 Engine::~Engine() {
   // Destroy any still-suspended top-level frames; their child CoTask frames
-  // are destroyed transitively because the CoTask objects live in the
-  // parent frames.
+  // are destroyed transitively because the CoTask objects (and when_all's
+  // unfinished children) live in the parent frames.
   for (auto h : owned_) {
     if (h) h.destroy();
   }
+  for (auto h : finished_frames_) h.destroy();
 }
 
 void Engine::spawn(Task task) {
@@ -110,24 +111,23 @@ Engine::Event Engine::lane_pop() {
   return ev;
 }
 
-void Engine::schedule_at(Time t, std::coroutine_handle<> h) {
+void Engine::schedule_at(Time t, Callback cb) {
   COL_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  COL_REQUIRE(h != nullptr, "cannot schedule a null coroutine");
+  COL_REQUIRE(static_cast<bool>(cb), "cannot schedule a null callback");
   // Same-time events carry a larger seq than anything queued so far, so
   // appending keeps the lane sorted; run() interleaves it with the heap.
   if (t == now_) {
-    lane_.push_back(Event{t, next_seq_++, h});
+    lane_.push_back(Event{t, next_seq_++, cb});
   } else {
-    heap_push(Event{t, next_seq_++, h});
+    heap_push(Event{t, next_seq_++, cb});
   }
 }
 
-std::uint64_t Engine::schedule_cancellable_at(Time t,
-                                              std::coroutine_handle<> h) {
+std::uint64_t Engine::schedule_cancellable_at(Time t, Callback cb) {
   COL_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  COL_REQUIRE(h != nullptr, "cannot schedule a null coroutine");
+  COL_REQUIRE(static_cast<bool>(cb), "cannot schedule a null callback");
   const std::uint64_t token = next_cancel_token_++;
-  heap_push(Event{t, next_seq_++, h, token});
+  heap_push(Event{t, next_seq_++, cb, token});
   return token;
 }
 
@@ -162,6 +162,8 @@ void Engine::reap_finished() {
     h.destroy();
   }
   finished_.clear();
+  for (auto h : finished_frames_) h.destroy();
+  finished_frames_.clear();
 }
 
 // simlint:seam(cross-rank-shared-mutable,nondet-interprocedural): the current-engine pointer is thread_local (one engine per host thread — exactly the PDES partition boundary), the event totals (process-wide and per RunContext) are atomic diagnostics counters, and the wall clock feeds only the events/sec perf counter; none of it is simulation state.
@@ -204,8 +206,8 @@ void Engine::run() {
     }
     now_ = ev.time;
     ++events_processed_;
-    ev.handle.resume();
-    if (!finished_.empty()) reap_finished();
+    ev.cb();
+    if (!finished_.empty() || !finished_frames_.empty()) reap_finished();
     if (pending_exception_) {
       auto e = pending_exception_;
       pending_exception_ = nullptr;

@@ -3,16 +3,19 @@
 /// Deterministic single-threaded discrete-event engine.
 ///
 /// Simulated processes are C++20 coroutines (`Task`). The engine owns a
-/// (time, sequence)-ordered event heap; each event resumes one suspended
-/// coroutine. Determinism: ties in time are broken by insertion sequence,
-/// and all randomness comes from seeded `columbia::Rng` streams.
+/// (time, sequence)-ordered event heap; each event runs one `Callback`:
+/// resuming a suspended coroutine, or one step of a protocol state machine
+/// (a network transfer, a message delivery, the flow solver's wake) that
+/// needs no coroutine frame of its own. Determinism: ties in time are
+/// broken by insertion sequence, and all randomness comes from seeded
+/// `columbia::Rng` streams.
 ///
 /// Concurrency model: one engine is single-threaded by construction (the
 /// current engine is tracked in a thread_local), so independent engines on
 /// different host threads are safe — the scenario runner in core/ relies
 /// on exactly that (one engine per sweep point, no shared mutable state).
 ///
-/// Hot path: `run()` is one queue pop + one coroutine resume per event.
+/// Hot path: `run()` is one queue pop + one callback call per event.
 /// Events scheduled for the current time (trigger wakes, resource grants,
 /// spawns) go to a same-time FIFO lane; only future and cancellable events
 /// enter the heap, an inline binary heap over a reusable vector (no
@@ -20,7 +23,7 @@
 /// the lane's front whenever it precedes the heap top by (time, seq), so
 /// the lane changes no event's order, only its cost. Finished-task reaping
 /// is O(1) swap-remove through the owned-list slot each Task's promise
-/// carries.
+/// carries; a finished when_all child's frame is freed after its event.
 
 #include <coroutine>
 #include <cstdint>
@@ -49,6 +52,35 @@ class DeadlockError : public std::runtime_error {
 /// exact count of one run is its RunContext's `events` (run_context.hpp).
 std::uint64_t total_events_processed();
 
+/// What one engine event runs: `fn(ctx)`, or with no `fn`, a resume of
+/// the coroutine frame `ctx` (`resume`; no extra indirect call on the
+/// engine's commonest event). A protocol state machine schedules its next
+/// step as a method call (`method`), so the step costs an event but no
+/// frame.
+struct Callback {
+  void (*fn)(void*) = nullptr;
+  void* ctx = nullptr;
+
+  explicit operator bool() const { return ctx != nullptr; }
+  void operator()() const {
+    if (fn != nullptr) {
+      fn(ctx);
+    } else {
+      std::coroutine_handle<>::from_address(ctx).resume();
+    }
+  }
+
+  /// Resumes `h`.
+  static Callback resume(std::coroutine_handle<> h) {
+    return {nullptr, h.address()};
+  }
+  /// Calls `(obj->*Method)()`.
+  template <auto Method, typename T>
+  static Callback method(T* obj) {
+    return {[](void* self) { (static_cast<T*>(self)->*Method)(); }, obj};
+  }
+};
+
 class Engine {
  public:
   Engine();
@@ -67,22 +99,28 @@ class Engine {
   /// that escaped a simulated process.
   void run();
 
-  /// Schedules `h` to resume at absolute time `t` (>= now). Events at
+  /// Schedules `cb` to run at absolute time `t` (>= now). Events at
   /// t == now() skip the heap; they still run in (time, seq) order.
-  void schedule_at(Time t, std::coroutine_handle<> h);
+  void schedule_at(Time t, Callback cb);
+  /// Schedules `h` to resume at `t`.
+  void schedule_at(Time t, std::coroutine_handle<> h) {
+    schedule_at(t, Callback::resume(h));
+  }
+  /// Schedules `cb` to run after `dt` seconds of simulated time.
+  void schedule_after(Time dt, Callback cb) { schedule_at(now_ + dt, cb); }
   /// Schedules `h` to resume after `dt` seconds of simulated time.
   void schedule_after(Time dt, std::coroutine_handle<> h) {
-    schedule_at(now_ + dt, h);
+    schedule_at(now_ + dt, Callback::resume(h));
   }
 
-  /// Schedules `h` at `t` like schedule_at, but returns a token that
+  /// Schedules `cb` at `t` like schedule_at, but returns a token that
   /// cancel_scheduled can later revoke. A cancelled event is discarded
-  /// when it reaches the front of the queue: it resumes nothing, does not
+  /// when it reaches the front of the queue: it runs nothing, does not
   /// advance now(), and does not count as a processed event — so a
   /// retargeted timer leaves no trace in simulated time. Used by the flow
   /// transport's solver, whose single wake-up moves whenever the active
   /// flow set changes.
-  std::uint64_t schedule_cancellable_at(Time t, std::coroutine_handle<> h);
+  std::uint64_t schedule_cancellable_at(Time t, Callback cb);
   /// Revokes a pending cancellable event. Must not be called after the
   /// event has already fired (callers track their own pending state);
   /// tokens are never reused, so a stale cancel can only leak a set entry.
@@ -137,15 +175,20 @@ class Engine {
                : 0.0;
   }
 
-  // --- internal hooks used by Task's promise ------------------------------
+  // --- internal hooks used by Task's promise and when_all ----------------
   void on_task_finished(std::coroutine_handle<Task::promise_type> h);
   void on_task_exception(std::exception_ptr e);
+  /// Destroys `frame`, a finished coroutine, right after the current
+  /// event (it may still be on the call stack until then).
+  void destroy_after_event(std::coroutine_handle<> frame) {
+    finished_frames_.push_back(frame);
+  }
 
  private:
   struct Event {
     Time time;
     std::uint64_t seq;
-    std::coroutine_handle<> handle;
+    Callback cb;
     std::uint64_t token = 0;  ///< nonzero: revocable via cancel_scheduled
     // Min-heap priority: earlier time first, then insertion order.
     bool before(const Event& other) const {
@@ -177,6 +220,7 @@ class Engine {
   std::vector<Event> lane_;
   std::size_t lane_head_ = 0;
   std::vector<std::coroutine_handle<Task::promise_type>> finished_;
+  std::vector<std::coroutine_handle<>> finished_frames_;  ///< when_all children
   /// Spawned, not yet reaped; task i's promise holds slot == i.
   std::vector<std::coroutine_handle<Task::promise_type>> owned_;
   std::exception_ptr pending_exception_;

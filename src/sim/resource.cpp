@@ -31,7 +31,7 @@ void Resource::grant_waiters() {
     Waiter w = waiters_.front();
     waiters_.pop_front();
     take(w.n);
-    engine_->schedule_at(engine_->now(), w.handle);
+    engine_->schedule_at(engine_->now(), w.granted);
   }
 }
 

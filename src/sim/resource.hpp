@@ -31,20 +31,25 @@ class Resource {
     struct Awaiter {
       Resource& res;
       std::int64_t n;
-      bool await_ready() noexcept {
-        if (res.waiters_.empty() && res.available_ >= n) {
-          res.take(n);
-          return true;
-        }
-        return false;
-      }
+      bool await_ready() noexcept { return res.try_take(n); }
       void await_suspend(std::coroutine_handle<> h) {
-        res.waiters_.push_back(Waiter{n, h});
+        res.waiters_.push_back(Waiter{n, Callback::resume(h)});
       }
       void await_resume() const noexcept {}
     };
     check_request(n);
     return Awaiter{*this, n};
+  }
+
+  /// Callback form of acquire(n): takes the units and returns true when
+  /// they are free and nobody is queued ahead; otherwise queues `granted`
+  /// behind every earlier waiter, coroutine or callback, and returns
+  /// false. An event then runs `granted` once the units are taken for it.
+  bool acquire(std::int64_t n, Callback granted) {
+    check_request(n);
+    if (try_take(n)) return true;
+    waiters_.push_back(Waiter{n, granted});
+    return false;
   }
 
   /// Returns `n` units and wakes eligible waiters (FIFO, no overtaking).
@@ -56,11 +61,17 @@ class Resource {
  private:
   struct Waiter {
     std::int64_t n;
-    std::coroutine_handle<> handle;
+    Callback granted;
   };
 
   void check_request(std::int64_t n) const;
   void take(std::int64_t n);
+  /// Takes `n` units if they are free and nobody is queued ahead.
+  bool try_take(std::int64_t n) {
+    if (!waiters_.empty() || available_ < n) return false;
+    take(n);
+    return true;
+  }
   void grant_waiters();
 
   Engine* engine_;

@@ -8,7 +8,8 @@
 ///  * `CoTask<T>` — a lazy child coroutine awaited by another coroutine
 ///    (e.g. a collective implemented over point-to-point sends). Control
 ///    transfers symmetrically, and values/exceptions propagate to the
-///    awaiter.
+///    awaiter. when_all (join.hpp) instead starts children from engine
+///    events and learns of their end through a finish hook.
 ///
 /// The engine never runs more than one coroutine at a time (single-threaded
 /// deterministic simulation), so no synchronization is needed (CppCoreGuide
@@ -62,34 +63,54 @@ class Task {
   std::coroutine_handle<promise_type> handle_;
 };
 
-/// Lazy child coroutine: starts when awaited, resumes the awaiter when done.
-template <typename T = void>
-class [[nodiscard]] CoTask {
+namespace detail {
+
+/// Called from a CoTask's final suspend in place of resuming an awaiter,
+/// for a child that when_all started (join.hpp): `fn(ctx, error)`, with
+/// the exception the body let escape (null when it returned).
+struct FinishHook {
+  void (*fn)(void* ctx, std::exception_ptr error) = nullptr;
+  void* ctx = nullptr;
+};
+
+/// What CoTask<T> and CoTask<void> promises share.
+struct CoPromiseBase {
   struct FinalAwaiter {
     bool await_ready() noexcept { return false; }
     template <typename P>
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<P> h) noexcept {
-      auto cont = h.promise().continuation;
-      return cont ? cont : std::noop_coroutine();
+      auto& p = h.promise();
+      if (p.continuation) return p.continuation;
+      if (p.on_finish.fn) p.on_finish.fn(p.on_finish.ctx, p.exception);
+      return std::noop_coroutine();
     }
     void await_resume() noexcept {}
   };
 
+  std::coroutine_handle<> continuation;
+  std::exception_ptr exception;
+  FinishHook on_finish;
+
+  std::suspend_always initial_suspend() noexcept { return {}; }
+  FinalAwaiter final_suspend() noexcept { return {}; }
+  void unhandled_exception() { exception = std::current_exception(); }
+};
+
+}  // namespace detail
+
+/// Lazy child coroutine: starts when awaited, resumes the awaiter when done.
+template <typename T = void>
+class [[nodiscard]] CoTask {
  public:
-  struct promise_type {
-    std::coroutine_handle<> continuation;
-    std::exception_ptr exception;
+  struct promise_type : detail::CoPromiseBase {
     // Storage only meaningful for non-void T; harmless otherwise.
     T value{};
 
     CoTask get_return_object() {
       return CoTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    FinalAwaiter final_suspend() noexcept { return {}; }
     void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { exception = std::current_exception(); }
   };
 
   CoTask(CoTask&& other) noexcept
@@ -112,6 +133,11 @@ class [[nodiscard]] CoTask {
     return std::move(handle_.promise().value);
   }
 
+  /// Gives up the unstarted frame (when_all takes it over).
+  std::coroutine_handle<promise_type> release() {
+    return std::exchange(handle_, nullptr);
+  }
+
  private:
   explicit CoTask(std::coroutine_handle<promise_type> h) : handle_(h) {}
   std::coroutine_handle<promise_type> handle_;
@@ -120,29 +146,12 @@ class [[nodiscard]] CoTask {
 /// Void specialization of CoTask.
 template <>
 class [[nodiscard]] CoTask<void> {
-  struct FinalAwaiter {
-    bool await_ready() noexcept { return false; }
-    template <typename P>
-    std::coroutine_handle<> await_suspend(
-        std::coroutine_handle<P> h) noexcept {
-      auto cont = h.promise().continuation;
-      return cont ? cont : std::noop_coroutine();
-    }
-    void await_resume() noexcept {}
-  };
-
  public:
-  struct promise_type {
-    std::coroutine_handle<> continuation;
-    std::exception_ptr exception;
-
+  struct promise_type : detail::CoPromiseBase {
     CoTask get_return_object() {
       return CoTask{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    FinalAwaiter final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
-    void unhandled_exception() { exception = std::current_exception(); }
   };
 
   CoTask(CoTask&& other) noexcept
@@ -162,6 +171,11 @@ class [[nodiscard]] CoTask<void> {
   void await_resume() {
     if (handle_.promise().exception)
       std::rethrow_exception(handle_.promise().exception);
+  }
+
+  /// Gives up the unstarted frame (when_all takes it over).
+  std::coroutine_handle<promise_type> release() {
+    return std::exchange(handle_, nullptr);
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "simlint/effects.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "simlint/tokwalk.hpp"
 
@@ -32,6 +33,7 @@ bool call_preceding_keyword(const Token& tok) {
 bool world_state_call(const std::string& name) {
   static const std::set<std::string> kSet = {
       "spawn",         "schedule",       "schedule_at",
+      "schedule_after", "schedule_cancellable_at",
       "delay",         "fire",           "set_span_sink",
       "set_observer",  "set_fault_model"};
   return kSet.count(name) != 0;
@@ -379,12 +381,13 @@ void collect_effects(const std::string& label, const LexedFile& file,
     if (t[i].kind != TokKind::Ident || !t[i + 1].is("(")) continue;
     if (not_function_names().count(t[i].text) != 0) continue;
 
-    // Walk the qualification chain back: `A::B::name` -> class prefix.
+    // Walk the qualification chain back: `A::B::name` -> class prefix B,
+    // the innermost, as the in-class definition would be named.
     std::size_t chain_start = i;
     std::string class_prefix;
     while (chain_start >= 2 && t[chain_start - 1].is("::") &&
            t[chain_start - 2].kind == TokKind::Ident) {
-      class_prefix = t[chain_start - 2].text;
+      if (class_prefix.empty()) class_prefix = t[chain_start - 2].text;
       chain_start -= 2;
     }
 
@@ -471,6 +474,26 @@ void collect_effects(const std::string& label, const LexedFile& file,
     def.summary.is_coroutine = true;
     def.summary.is_lambda = true;
     defs.push_back(std::move(def));
+  }
+
+  // Engine callback targets: `Callback::method<&A::B::name>` schedules
+  // `B::name` as an event, a handler in its own right wherever it is
+  // defined.
+  for (std::size_t i = 0; i + 5 < t.size(); ++i) {
+    if (!t[i].ident("Callback") || !t[i + 1].is("::") ||
+        !t[i + 2].ident("method") || !t[i + 3].is("<") || !t[i + 4].is("&")) {
+      continue;
+    }
+    std::string owner;
+    std::string name;
+    for (std::size_t j = i + 5; j < t.size() && t[j].kind == TokKind::Ident;
+         j += 2) {
+      owner = std::exchange(name, t[j].text);
+      if (j + 1 >= t.size() || !t[j + 1].is("::")) break;
+    }
+    if (!name.empty()) {
+      index.callback_roots.insert(owner.empty() ? name : owner + "::" + name);
+    }
   }
 
   // Scan bodies (named functions skip carved lambda spans; lambdas skip
@@ -569,6 +592,7 @@ void finalize_effects(EffectIndex& index) {
     FunctionSummary& fn = index.functions[i];
     fn.effects = fn.direct;
     if (!fn.is_lambda) index.by_name[fn.name].push_back(i);
+    if (index.callback_roots.count(fn.qualified) != 0) fn.is_handler = true;
   }
   // Caller-ward fixpoint over resolved call edges: conservative (all
   // same-name definitions merge), monotone, bounded by bits × functions.

@@ -10,7 +10,10 @@
 /// coroutine lambdas (carved out of their enclosing function, because rank
 /// programs are mostly `[&](simmpi::Rank& r) -> sim::CoTask<void> {…}`) —
 /// gets a summary: where it is, what it calls, and a direct effect set
-/// inferred from its tokens:
+/// inferred from its tokens. Handlers, the roots of the effect passes, are
+/// Task/CoTask functions, coroutine lambdas and the functions the engine
+/// calls as events (`sim::Callback::method<&Class::name>` targets: the
+/// protocol steps of transfers, deliveries and the flow solver's wake):
 ///
 ///   writes-global / reads-global   use of a `g_*`-convention global (write
 ///                                  when assigned/incremented/mutated) or a
@@ -101,7 +104,9 @@ struct FunctionSummary {
   std::string qualified;  ///< Class::name, or name for free functions
   std::string file;       ///< root-relative label
   int line = 0;           ///< line of the name token (lambda: introducer)
-  bool is_handler = false;    ///< returns Task/CoTask or is a coroutine lambda
+  /// Returns Task/CoTask, is a coroutine lambda, or is an engine callback
+  /// target (`sim::Callback::method<&Class::name>`, anywhere in the tree).
+  bool is_handler = false;
   bool is_coroutine = false;  ///< body contains co_await/co_return/co_yield
   bool is_lambda = false;     ///< carved-out coroutine lambda
 
@@ -127,6 +132,9 @@ struct EffectIndex {
   /// bare name -> indices into `functions` (overloads and redefinitions
   /// merge at call-resolution time).
   std::map<std::string, std::vector<std::size_t>> by_name;
+  /// Qualified names (`Class::name`) scheduled as engine callbacks;
+  /// finalize_effects makes each matching definition a handler.
+  std::set<std::string> callback_roots;
   /// Malformed seam annotations etc.; the driver surfaces these as run
   /// errors so a bad seam cannot silently sanction anything.
   std::vector<std::string> errors;
@@ -137,8 +145,9 @@ struct EffectIndex {
 void collect_effects(const std::string& label, const LexedFile& file,
                      EffectIndex& index);
 
-/// Builds by_name and propagates kPropagatedEffects caller-ward to a
-/// fixpoint. Call once, after every file has been collected.
+/// Builds by_name, marks callback_roots as handlers, and propagates
+/// kPropagatedEffects caller-ward to a fixpoint. Call once, after every
+/// file has been collected.
 void finalize_effects(EffectIndex& index);
 
 /// Lookup helper: the summary of the (first, in file/line order) function

@@ -10,7 +10,8 @@ namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// Handler-reachability for one pass: BFS over resolved call edges from
-/// every Task/CoTask handler, refusing to enter (or report) functions
+/// every handler (Task/CoTask, coroutine lambda or engine callback
+/// target), refusing to enter (or report) functions
 /// seam-annotated for `rule`. parent[i] reconstructs one witness chain;
 /// root[i] is the handler that first reached i. Deterministic: handlers
 /// in index order, callees in name order, targets in index order.

@@ -4,9 +4,9 @@
 /// summaries (effects.hpp).
 ///
 ///   cross-rank-shared-mutable  a function that touches a mutable
-///                              static/global is reachable from a
-///                              Task/CoTask event handler with no
-///                              simlint:seam on the path
+///                              static/global is reachable from an event
+///                              handler (a Task/CoTask or an engine
+///                              callback) with no simlint:seam on the path
 ///   nondet-interprocedural     a wall-clock/entropy source is reachable
 ///                              from a handler through the call graph
 ///

@@ -494,6 +494,7 @@ class Analyzer {
   void scan_listener_body(std::size_t lo, std::size_t hi) {
     static const std::set<std::string> kBannedCalls = {
         "spawn",          "schedule",       "schedule_at",
+        "schedule_after", "schedule_cancellable_at",
         "delay",          "set_span_sink",  "set_observer",
         "set_fault_model", "fire",
     };

@@ -69,22 +69,6 @@ sim::CoTask<void> Rank::send_value(int dst, std::vector<double> data,
   return send_impl(dst, bytes, std::move(data), tag);
 }
 
-namespace {
-/// Detached eager delivery: move the bytes (running the fault/retry loop
-/// when a model is attached), then signal arrival. A lost message never
-/// fires `delivered`, so the matched receive stalls and the engine
-/// surfaces a DeadlockError.
-sim::Task eager_delivery(World& world, int src_cpu, int dst_cpu,
-                         double bytes, std::uint64_t serial,
-                         sim::Trigger& delivered) {
-  // Await hoisted out of the `if` (see send_impl's rendezvous path).
-  const bool ok = co_await world.deliver(src_cpu, dst_cpu, bytes, serial);
-  if (ok) {
-    delivered.fire();
-  }
-}
-}  // namespace
-
 sim::CoTask<void> Rank::send_impl(int dst, double bytes,
                                   std::vector<double> payload, int tag) {
   COL_REQUIRE(dst >= 0 && dst < size(), "send destination out of range");
@@ -92,11 +76,12 @@ sim::CoTask<void> Rank::send_impl(int dst, double bytes,
   auto& eng = engine();
   const double t0 = eng.now();
   const std::uint64_t serial = send_serial_++;
+  Rank& receiver = world_->rank(dst);
 
-  auto env = std::make_unique<Envelope>(eng);
+  auto env =
+      std::make_unique<Envelope>(*world_, cpu_, receiver.cpu_, bytes, serial);
   env->src = rank_;
   env->tag = tag;
-  env->bytes = bytes;
   env->payload = std::move(payload);
   env->eager = bytes <= World::kEagerThreshold;
 
@@ -108,38 +93,30 @@ sim::CoTask<void> Rank::send_impl(int dst, double bytes,
     obs->on_send_posted(op_id, rank_, dst, tag, bytes, !env->eager);
   }
 
-  Rank& receiver = world_->rank(dst);
   machine::Network& net = world_->network();
-
-  if (env->eager) {
-    // Sender copies into the library buffer and returns; delivery rides a
-    // detached task through the network (back-pressured by the injection
-    // port resource).
-    sim::Trigger& delivered = env->delivered;
-    receiver.deposit(std::move(env));
-    eng.spawn(eager_delivery(*world_, cpu_, receiver.cpu_, bytes, serial,
-                             delivered));
+  // The receiver's queue owns the envelope until its recv completes, which
+  // is after the delivery fires `delivered`.
+  Envelope& sent = *env;
+  receiver.deposit(std::move(env));
+  if (sent.eager) {
+    // Sender copies into the library buffer and returns; the delivery
+    // runs from its own events through the network (back-pressured by the
+    // injection port resource).
+    eng.schedule_at(eng.now(),
+                    sim::Callback::method<&World::Delivery::depart>(
+                        &sent.delivery));
     const double copy_cost =
         0.4e-6 + bytes / net.cluster().node_spec().mem.cpu_stream_bw;
     co_await eng.delay(copy_cost);
   } else {
     // Rendezvous: announce, wait for the receiver's clear-to-send (which
     // must travel back across the wire), then transfer directly into the
-    // destination buffer.
-    sim::Trigger& rts = env->rts_matched;
-    sim::Trigger& delivered = env->delivered;
-    const int dst_cpu = receiver.cpu_;
-    receiver.deposit(std::move(env));
-    co_await rts.wait();
-    co_await eng.delay(net.cluster().latency(cpu_, dst_cpu));  // CTS trip
-    // Handshake traffic is reliable control traffic; fault verdicts apply
-    // to the bulk transfer, whose retries the (blocked) sender pays for.
-    // (The await is hoisted out of the `if`: awaiting a temporary CoTask
-    // inside a condition miscompiles under this toolchain.)
-    const bool ok = co_await world_->deliver(cpu_, dst_cpu, bytes, serial);
-    if (ok) {
-      delivered.fire();
-    }
+    // destination buffer. Handshake traffic is reliable control traffic;
+    // fault verdicts apply to the bulk transfer, whose retries the
+    // (blocked) sender pays for.
+    co_await sent.rts_matched.wait();
+    co_await eng.delay(net.cluster().latency(cpu_, receiver.cpu_));  // CTS
+    co_await sent.delivery.trip();
   }
   if (obs) obs->on_send_completed(op_id);
   comm_seconds_ += eng.now() - t0;
@@ -227,16 +204,9 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
   co_return msg;
 }
 
-namespace {
-sim::CoTask<void> recv_discard(Rank& r, int src, int tag) {
-  (void)co_await r.recv(src, tag);
-}
-}  // namespace
-
 sim::CoTask<void> Rank::sendrecv(int dst, double send_bytes, int src,
                                  int tag) {
-  co_await sim::when_all(engine(), send(dst, send_bytes, tag),
-                         recv_discard(*this, src, tag));
+  return sim::when_all(engine(), send(dst, send_bytes, tag), recv(src, tag));
 }
 
 // ---------------------------------------------------------------------------
@@ -511,18 +481,18 @@ sim::CoTask<std::vector<double>> Rank::allgather_values(
     for (int s = 0; s < n - 1; ++s) {
       const int send_origin = (rank_ - s + n) % n;
       const int recv_origin = (rank_ - s - 1 + n) % n;
-      std::vector<sim::CoTask<void>> ops;
-      ops.push_back(send_value(
-          dst, blocks[static_cast<std::size_t>(send_origin)], kCollTag));
       // Receive concurrently (rendezvous both ways around the ring).
       auto recv_into = [](Rank& r, int src,
                           std::vector<double>& out) -> sim::CoTask<void> {
         Message m = co_await r.recv(src, kCollTag);
         out = std::move(m.payload);
       };
-      ops.push_back(recv_into(
-          *this, src, blocks[static_cast<std::size_t>(recv_origin)]));
-      co_await sim::when_all(engine(), std::move(ops));
+      co_await sim::when_all(
+          engine(),
+          send_value(dst, blocks[static_cast<std::size_t>(send_origin)],
+                     kCollTag),
+          recv_into(*this, src,
+                    blocks[static_cast<std::size_t>(recv_origin)]));
     }
   }
   std::vector<double> out;
@@ -548,12 +518,11 @@ sim::CoTask<std::vector<std::vector<double>>> Rank::alltoall_values(
   for (int step = 1; step < n; ++step) {
     const int dst = (rank_ + step) % n;
     const int src = (rank_ - step + n) % n;
-    std::vector<sim::CoTask<void>> ops;
-    ops.push_back(
+    co_await sim::when_all(
+        engine(),
         send_value(dst, std::move(send[static_cast<std::size_t>(dst)]),
-                   kCollTag));
-    ops.push_back(recv_into(*this, src, recv[static_cast<std::size_t>(src)]));
-    co_await sim::when_all(engine(), std::move(ops));
+                   kCollTag),
+        recv_into(*this, src, recv[static_cast<std::size_t>(src)]));
   }
   co_return recv;
 }
@@ -625,36 +594,67 @@ sim::Task World::rank_main(Rank& r, const Program& program) {
   if (auto* obs = r.world_->observer()) obs->on_rank_finished(r.rank());
 }
 
-sim::CoTask<bool> World::deliver(int src_cpu, int dst_cpu, double bytes,
-                                 std::uint64_t serial) {
-  machine::FaultModel* fm = fault_model_;
-  if (fm == nullptr) {
-    co_await network_->transfer(src_cpu, dst_cpu, bytes);
-    co_return true;
-  }
-  double wait = retry_policy_.timeout;
-  for (int attempt = 0;; ++attempt) {
-    const machine::MessageVerdict verdict =
-        fm->message_verdict(src_cpu, dst_cpu, bytes, serial, attempt);
-    if (!verdict.dropped) {
-      if (verdict.extra_delay > 0.0) co_await engine_->delay(verdict.extra_delay);
-      co_await network_->transfer(src_cpu, dst_cpu, bytes);
-      co_return true;
+// ---------------------------------------------------------------------------
+// World::Delivery: the retry loop as callback steps
+// ---------------------------------------------------------------------------
+
+bool World::Delivery::set_out() {
+  if (world_->fault_model_ == nullptr) return transmit();
+  wait_ = world_->retry_policy_.timeout;
+  return attempt();
+}
+
+bool World::Delivery::attempt() {
+  machine::FaultModel* fm = world_->fault_model_;
+  const machine::MessageVerdict verdict =
+      fm->message_verdict(src_cpu_, dst_cpu_, bytes_, serial_, attempt_);
+  if (!verdict.dropped) {
+    if (verdict.extra_delay > 0.0) {
+      world_->engine_->schedule_after(
+          verdict.extra_delay,
+          sim::Callback::method<&Delivery::after_delay>(this));
+      return false;
     }
-    ++messages_dropped_;
-    fm->note_message_dropped();
-    if (attempt >= retry_policy_.max_retries) {
-      ++messages_lost_;
-      fm->note_message_lost();
-      co_return false;
-    }
-    // The sender detects the loss by timeout, then retransmits; each
-    // successive detection waits `backoff` times longer.
-    co_await engine_->delay(wait);
-    wait *= retry_policy_.backoff;
-    ++retries_;
-    fm->note_retry();
+    return transmit();
   }
+  ++world_->messages_dropped_;
+  fm->note_message_dropped();
+  if (attempt_ >= world_->retry_policy_.max_retries) {
+    ++world_->messages_lost_;
+    fm->note_message_lost();
+    return true;
+  }
+  // The sender detects the loss by timeout, then retransmits; each
+  // successive detection waits `backoff` times longer.
+  world_->engine_->schedule_after(
+      wait_, sim::Callback::method<&Delivery::after_backoff>(this));
+  return false;
+}
+
+void World::Delivery::after_backoff() {
+  wait_ *= world_->retry_policy_.backoff;
+  ++world_->retries_;
+  world_->fault_model_->note_retry();
+  ++attempt_;
+  if (attempt()) resume_sender();
+}
+
+bool World::Delivery::transmit() {
+  transfer_ = machine::Network::Transfer(
+      src_cpu_, dst_cpu_, bytes_,
+      sim::Callback::method<&Delivery::arrived>(this));
+  if (!world_->network_->inject(transfer_)) return false;
+  delivered_->fire();
+  return true;
+}
+
+void World::Delivery::after_delay() {
+  if (transmit()) resume_sender();
+}
+
+void World::Delivery::arrived() {
+  delivered_->fire();
+  resume_sender();
 }
 
 double World::run(const Program& program) {

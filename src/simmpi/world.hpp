@@ -8,8 +8,14 @@
 /// Message *timing* comes from the machine model; message *semantics*
 /// (matching on (source, tag), non-overtaking order, collective
 /// synchronization) are implemented for real, so benchmark communication
-/// patterns are exercised exactly as written.
+/// patterns are exercised exactly as written. The protocol below a send
+/// runs without coroutine frames: each message's Envelope holds a
+/// World::Delivery and its Network::Transfer, stepped by callback events.
+/// An eager send starts its delivery from an event and returns after the
+/// buffer copy; a rendezvous send awaits the same delivery after the
+/// clear-to-send.
 
+#include <coroutine>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -163,18 +169,7 @@ class Rank {
  private:
   friend class World;
 
-  struct Envelope {
-    explicit Envelope(sim::Engine& e) : delivered(e), rts_matched(e) {}
-    int src = 0;
-    int tag = 0;
-    double bytes = 0.0;
-    std::vector<double> payload;
-    bool eager = true;
-    bool claimed = false;  // already matched to a receive
-    std::uint64_t check_id = 0;  // observer op id (0 = untracked)
-    sim::Trigger delivered;    // data arrived at receiver
-    sim::Trigger rts_matched;  // rendezvous handshake (unused when eager)
-  };
+  struct Envelope;  // defined after World, whose Delivery it holds
   struct PendingRecv {
     explicit PendingRecv(sim::Engine& e) : ready(e) {}
     int src = 0;
@@ -259,11 +254,69 @@ class World {
   /// permanently blocked).
   std::uint64_t messages_lost() const { return messages_lost_; }
 
-  /// Moves `bytes` to the destination CPU, applying fault verdicts and the
-  /// retry policy; resolves true on delivery, false when the message was
-  /// lost for good (internal, used by Rank's delivery paths).
-  sim::CoTask<bool> deliver(int src_cpu, int dst_cpu, double bytes,
-                            std::uint64_t serial);
+  /// One message's trip to its receiver (internal, held in the message's
+  /// Envelope next to its Network::Transfer): the fault verdict, extra
+  /// delay, timeout with backoff and retry around the transfer, each step
+  /// a callback event. Clean, faulted and flow deliveries all take it. On
+  /// delivery it fires `delivered`; delivered or lost for good, it then
+  /// resumes the rendezvous sender awaiting it, if any. A lost message
+  /// never fires `delivered`, so the matched receive stalls and the
+  /// engine surfaces a DeadlockError.
+  class Delivery {
+   public:
+    Delivery(World& world, sim::Trigger& delivered, int src_cpu,
+             int dst_cpu, double bytes, std::uint64_t serial)
+        : world_(&world),
+          delivered_(&delivered),
+          src_cpu_(src_cpu),
+          dst_cpu_(dst_cpu),
+          bytes_(bytes),
+          serial_(serial) {}
+
+    /// Sets out now; an eager send schedules this as an event.
+    void depart() {
+      if (set_out()) resume_sender();
+    }
+
+    /// Awaitable: sets out now and resumes the awaiter when the trip
+    /// ends.
+    auto trip() {
+      struct Awaiter {
+        Delivery& d;
+        bool await_ready() const noexcept { return false; }
+        bool await_suspend(std::coroutine_handle<> h) {
+          d.sender_ = sim::Callback::resume(h);
+          return !d.set_out();
+        }
+        void await_resume() const noexcept {}
+      };
+      return Awaiter{*this};
+    }
+
+   private:
+    // Each step returns true when the trip ended inside it; the event
+    // entry points then resume the sender.
+    bool set_out();
+    bool attempt();
+    bool transmit();
+    void after_delay();
+    void after_backoff();
+    void arrived();
+    void resume_sender() {
+      if (sender_) sender_();
+    }
+
+    World* world_;
+    sim::Trigger* delivered_;
+    int src_cpu_;
+    int dst_cpu_;
+    double bytes_;
+    std::uint64_t serial_;  ///< the fault model's per-message key
+    int attempt_ = 0;
+    double wait_ = 0.0;  ///< the next loss-detection timeout
+    machine::Network::Transfer transfer_;
+    sim::Callback sender_;
+  };
 
   /// Mean over ranks of time spent in communication calls. Overlapping
   /// operations (sendrecv halves, wait-all members) each count their own
@@ -296,6 +349,25 @@ class World {
   std::uint64_t messages_lost_ = 0;
   std::uint64_t next_check_id_ = 1;
   std::vector<std::unique_ptr<Rank>> ranks_;
+};
+
+struct Rank::Envelope {
+  Envelope(World& world, int src_cpu, int dst_cpu, double size,
+           std::uint64_t serial)
+      : bytes(size),
+        delivered(world.engine()),
+        rts_matched(world.engine()),
+        delivery(world, delivered, src_cpu, dst_cpu, size, serial) {}
+  int src = 0;
+  int tag = 0;
+  double bytes = 0.0;
+  std::vector<double> payload;
+  bool eager = true;
+  bool claimed = false;  // already matched to a receive
+  std::uint64_t check_id = 0;  // observer op id (0 = untracked)
+  sim::Trigger delivered;    // data arrived at receiver
+  sim::Trigger rts_matched;  // rendezvous handshake (unused when eager)
+  World::Delivery delivery;  // the message's trip, eager or rendezvous
 };
 
 }  // namespace columbia::simmpi

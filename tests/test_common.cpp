@@ -1,14 +1,16 @@
 // Unit tests for the common utilities: RNG determinism and distributions,
-// statistics accumulators, table/figure rendering, contract checks and
-// the FNV-1a hash.
+// statistics accumulators, table/figure rendering, contract checks, the
+// FNV-1a hash and the JSON reader's UTF-8 rule.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -200,6 +202,34 @@ TEST(Hash, Fnv1a64StandardVectors) {
   EXPECT_EQ(common::hex64(common::fnv1a64("a")), "af63dc4c8601ec8c");
   EXPECT_EQ(common::fnv1a64("ab"),
             common::fnv1a64("b", common::fnv1a64("a")));
+}
+
+TEST(Json, StringsMustBeWellFormedUtf8) {
+  namespace json = common::json;
+  json::Value v;
+  std::string error;
+  // 2-, 3- and 4-byte forms, the edges of each range included, come back
+  // byte for byte.
+  for (const std::string body :
+       {"\xC2\x80", "\xC3\xA9", "\xE0\xA0\x80", "\xED\x9F\xBF",
+        "\xF0\x90\x80\x80", "\xF4\x8F\xBF\xBF"}) {
+    ASSERT_TRUE(json::parse("\"" + body + "\"", v, error)) << error;
+    EXPECT_EQ(v.as_string(), body);
+  }
+  for (const std::string body : {
+           "\xFF",              // bad lead byte
+           "\x80",              // lone continuation byte
+           "\xC3(",             // bad continuation byte
+           "\xC0\xAF",          // overlong 2-byte form
+           "\xE0\x80\xAF",      // overlong 3-byte form
+           "\xF0\x80\x80\xAF",  // overlong 4-byte form
+           "\xED\xA0\x80",      // surrogate U+D800
+           "\xF4\x90\x80\x80",  // above U+10FFFF
+           "\xE2\x82",          // truncated by the closing quote
+       }) {
+    EXPECT_FALSE(json::parse("\"" + body + "\"", v, error));
+    EXPECT_EQ(error, "json:1:2: invalid UTF-8 in string");
+  }
 }
 
 }  // namespace

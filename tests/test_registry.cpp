@@ -1,13 +1,14 @@
 // The registry gate: every experiment runs once under each of four
 // configs, and each (id, config) is held to its line in
 // tests/golden/registry.digest: FNV-1a 64s of the report and of every
-// analyzer artifact, and the fault counters. plain (nothing armed) must
-// also write the committed bench_results/ CSVs; check-profile (check,
-// profile, faults 0:0) must reproduce plain's report with a clean check
-// and exact critical paths; armed-event and armed-flow arm check,
-// profile and faults 42:0.25. A nondeterministic run or a moved model
-// output fails its line; a deterministic exception folds into the
-// report.
+// analyzer artifact, the fault counters and the engine event count (so a
+// change that claims to keep every event is held to it). plain (nothing
+// armed) must also write the committed bench_results/ CSVs;
+// check-profile (check, profile, faults 0:0) must reproduce plain's
+// report with a clean check and exact critical paths; armed-event and
+// armed-flow arm check, profile and faults 42:0.25. A nondeterministic
+// run or a moved model output fails its line; a deterministic exception
+// folds into the report.
 //
 // Two ctest entries run this binary (tests/CMakeLists.txt), each sweeping
 // its own configs over the host pool: test_simprof_registry runs
@@ -74,6 +75,7 @@ struct Outcome {
   simprof::ProfileReport profile;
   simprof::TraceArtifacts trace;
   simfault::FaultStats faults;
+  std::uint64_t events = 0;  ///< engine events the run processed
 };
 
 Outcome run_config(const core::Experiment& exp, const Config& config,
@@ -96,6 +98,7 @@ Outcome run_config(const core::Experiment& exp, const Config& config,
       out.report = "exception: (non-standard)\n";
     }
   }
+  out.events = ctx.events.load(std::memory_order_relaxed);
   if (config.armed) {
     out.check = check->take_report();
     out.profile = profile->take_report();
@@ -106,11 +109,12 @@ Outcome run_config(const core::Experiment& exp, const Config& config,
 }
 
 /// The digest line of `run`: id, config, the report's FNV-1a, the FNV-1a
-/// of its analyzer artifacts in a fixed order (none for plain), and the
-/// fault counters. The artifacts are hashed one at a time, so no
-/// concatenation of multi-megabyte traces is ever held, and the one
-/// render of the chrome trace is also checked to be a plausible
-/// chrome://tracing document.
+/// of its analyzer artifacts in a fixed order (none for plain), the
+/// fault counters and the engine events the run processed (exact under a
+/// parallel sweep too: every pool worker adds into the run's context).
+/// The artifacts are hashed one at a time, so no concatenation of
+/// multi-megabyte traces is ever held, and the one render of the chrome
+/// trace is also checked to be a plausible chrome://tracing document.
 std::string digest_line(const std::string& id, const Config& config,
                         const Outcome& run) {
   std::uint64_t artifacts = common::kFnv1aBasis;
@@ -135,7 +139,7 @@ std::string digest_line(const std::string& id, const Config& config,
      << common::hex64(artifacts) << " worlds=" << run.faults.worlds
      << " dropped=" << run.faults.messages_dropped
      << " retries=" << run.faults.retries
-     << " lost=" << run.faults.messages_lost;
+     << " lost=" << run.faults.messages_lost << " events=" << run.events;
   return os.str();
 }
 
@@ -354,7 +358,8 @@ TEST(GoldenDeterminism, IoExperimentsRunInParallelMatchTheCommittedDigest) {
   // a parallel run could diverge from the sequential one. Run from the
   // test thread, so the scenarios really fan out over the pool. Profile
   // worlds merge in completion order under a parallel run, so the
-  // artifact digest (the fourth field) stays out of the comparison.
+  // artifact digest (the fourth field) stays out of the comparison; the
+  // event count stays in, since each pool worker adds into one context.
   const auto committed = read_digest(COLUMBIA_REGISTRY_DIGEST);
   for (const std::string id :
        {"ext-io", "ext-checkpoint", "ext-btio", "ext-io-overlap"}) {

@@ -1,7 +1,8 @@
 // Unit tests for the discrete-event engine: time ordering (including
-// same-time and cancellable events), coroutine lifecycles, nested CoTask
-// value/exception propagation, triggers, contended resources, barriers,
-// deadlock detection, and determinism.
+// same-time and cancellable events, callbacks among coroutine resumes),
+// coroutine lifecycles, nested CoTask value/exception propagation,
+// when_all joins, triggers, contended resources (callback and coroutine
+// waiters), barriers, deadlock detection, and determinism.
 
 #include <gtest/gtest.h>
 
@@ -9,11 +10,13 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sim/barrier.hpp"
 #include "sim/engine.hpp"
+#include "sim/join.hpp"
 #include "sim/resource.hpp"
 #include "sim/run_context.hpp"
 #include "sim/task.hpp"
@@ -442,7 +445,7 @@ struct ParkCancellable {
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     parked.handle = h;
-    parked.token = engine.schedule_cancellable_at(t, h);
+    parked.token = engine.schedule_cancellable_at(t, Callback::resume(h));
   }
   void await_resume() const noexcept {}
 };
@@ -498,6 +501,198 @@ TEST(Engine, CancelledEventLeavesNoTrace) {
   // Two spawns, the canceller's wake at 1 and the victim's at 2; the
   // revoked event at 5 does not count.
   EXPECT_EQ(eng.events_processed(), 4u);
+  EXPECT_EQ(eng.live_tasks(), 0u);
+}
+
+// --- callback events, mixed waiters and when_all children -------------------
+
+/// A callback target: logs its name when an event calls it.
+struct Step {
+  std::vector<std::string>* log;
+  std::string name;
+  void run() { log->push_back(name); }
+};
+
+/// Awaitable: suspends and leaves the handle in `slot` for someone else
+/// to schedule.
+struct Park {
+  std::coroutine_handle<>& slot;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { slot = h; }
+  void await_resume() const noexcept {}
+};
+
+Task parked(std::coroutine_handle<>& slot, std::vector<std::string>& log,
+            std::string name) {
+  co_await Park{slot};
+  log.push_back(std::move(name));
+}
+
+struct MixedSchedule {
+  std::vector<std::coroutine_handle<>> resumes;  // lane, heap, cancellable
+  std::vector<Step> steps;  // lane x2, heap x2, cancellable
+};
+
+Task schedule_mixed(Engine& e, MixedSchedule& m) {
+  co_await e.delay(1.0);
+  auto step = [&m](std::size_t i) {
+    return Callback::method<&Step::run>(&m.steps[i]);
+  };
+  // Same instant: the lane.
+  e.schedule_at(1.0, step(0));
+  e.schedule_at(1.0, m.resumes[0]);
+  e.schedule_at(1.0, step(1));
+  // Later instant: the heap, with cancellable events among the rest.
+  e.schedule_at(2.0, m.resumes[1]);
+  e.schedule_at(2.0, step(2));
+  (void)e.schedule_cancellable_at(2.0, step(4));
+  (void)e.schedule_cancellable_at(2.0, Callback::resume(m.resumes[2]));
+  e.schedule_at(2.0, step(3));
+}
+
+TEST(Callback, RunsInSeqOrderWithCoroutineResumes) {
+  Engine eng;
+  std::vector<std::string> log;
+  MixedSchedule m;
+  m.resumes.resize(3);
+  m.steps = {{&log, "lane-callback-1"},
+             {&log, "lane-callback-2"},
+             {&log, "heap-callback-1"},
+             {&log, "heap-callback-2"},
+             {&log, "cancellable-callback"}};
+  eng.spawn(parked(m.resumes[0], log, "lane-resume"));
+  eng.spawn(parked(m.resumes[1], log, "heap-resume"));
+  eng.spawn(parked(m.resumes[2], log, "cancellable-resume"));
+  eng.spawn(schedule_mixed(eng, m));
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "lane-callback-1", "lane-resume", "lane-callback-2",
+                     "heap-resume", "heap-callback-1", "cancellable-callback",
+                     "cancellable-resume", "heap-callback-2"}));
+  // Three spawns parked, the scheduler's spawn and wake, and eight
+  // scheduled events.
+  EXPECT_EQ(eng.events_processed(), 13u);
+  EXPECT_EQ(eng.live_tasks(), 0u);
+}
+
+/// A callback waiter on a Resource: logs its grant time, then releases.
+struct GrantLogger {
+  Engine* engine;
+  Resource* resource;
+  std::vector<std::string>* log;
+  std::string name;
+  void granted() {
+    log->push_back(name + "@" + std::to_string(engine->now()).substr(0, 3));
+    resource->release();
+  }
+};
+
+Task hold_for(Engine& e, Resource& r, std::vector<std::string>& log,
+              std::string name, double dt) {
+  co_await r.acquire();
+  log.push_back(name + "@" + std::to_string(e.now()).substr(0, 3));
+  co_await e.delay(dt);
+  r.release();
+}
+
+Task enqueue(Resource& r, GrantLogger& waiter, bool& granted_at_once) {
+  granted_at_once = r.acquire(1, Callback::method<&GrantLogger::granted>(
+                                     &waiter));
+  co_return;
+}
+
+TEST(Resource, GrantsMixedCallbackAndCoroutineWaitersFifo) {
+  Engine eng;
+  Resource res(eng, 1);
+  std::vector<std::string> log;
+  GrantLogger b{&eng, &res, &log, "b"};
+  GrantLogger d{&eng, &res, &log, "d"};
+  bool b_at_once = true;
+  bool d_at_once = true;
+  eng.spawn(hold_for(eng, res, log, "holder", 1.0));
+  eng.spawn(hold_for(eng, res, log, "a", 1.0));
+  eng.spawn(enqueue(res, b, b_at_once));
+  eng.spawn(hold_for(eng, res, log, "c", 1.0));
+  eng.spawn(enqueue(res, d, d_at_once));
+  eng.run();
+  EXPECT_FALSE(b_at_once);
+  EXPECT_FALSE(d_at_once);
+  EXPECT_EQ(log, (std::vector<std::string>{"holder@0.0", "a@1.0", "b@2.0",
+                                           "c@2.0", "d@3.0"}));
+  EXPECT_EQ(res.available(), 1);
+  // Free with nobody queued: granted at once, no event.
+  GrantLogger e{&eng, &res, &log, "e"};
+  EXPECT_TRUE(res.acquire(1, Callback::method<&GrantLogger::granted>(&e)));
+  EXPECT_EQ(res.available(), 0);
+}
+
+CoTask<void> wait_then_throw(Engine& e, double dt) {
+  co_await e.delay(dt);
+  throw std::runtime_error("child failed");
+}
+
+CoTask<void> wait_for(Engine& e, double dt) { co_await e.delay(dt); }
+
+Task join_failing(Engine& e, bool& joined) {
+  std::vector<CoTask<void>> children;
+  children.push_back(wait_for(e, 2.0));
+  children.push_back(wait_then_throw(e, 1.0));
+  co_await when_all(e, std::move(children));
+  joined = true;
+}
+
+TEST(WhenAll, ChildExceptionSurfacesFromRun) {
+  Engine eng;
+  bool joined = false;
+  eng.spawn(join_failing(eng, joined));
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  // Right after the failing child's event; the sibling is still waiting
+  // and is destroyed with the engine.
+  EXPECT_DOUBLE_EQ(eng.now(), 1.0);
+  EXPECT_FALSE(joined);
+}
+
+/// Counts destructions of the frame-held copy (moved-from copies do not
+/// count).
+struct Counted {
+  int* destroyed;
+  explicit Counted(int& d) : destroyed(&d) {}
+  Counted(Counted&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+CoTask<void> counted_child(Engine& e, double dt,
+                           [[maybe_unused]] Counted frame_local) {
+  co_await e.delay(dt);
+}
+
+CoTask<int> last_child(Engine& e, double dt, const int& destroyed,
+                       int& seen) {
+  co_await e.delay(dt);
+  seen = destroyed;
+  co_return 7;
+}
+
+Task join_two(Engine& e, int& destroyed, int& seen) {
+  co_await when_all(e, counted_child(e, 1.0, Counted(destroyed)),
+                    last_child(e, 2.0, destroyed, seen));
+}
+
+TEST(WhenAll, FreesAFinishedChildBeforeItsLastSiblingFinishes) {
+  Engine eng;
+  int destroyed = 0;
+  int seen = -1;
+  eng.spawn(join_two(eng, destroyed, seen));
+  eng.run();
+  EXPECT_EQ(seen, 1) << "the first child's frame outlived its event";
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_DOUBLE_EQ(eng.now(), 2.0);
   EXPECT_EQ(eng.live_tasks(), 0u);
 }
 

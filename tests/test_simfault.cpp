@@ -399,6 +399,41 @@ TEST(FaultRetry, ExhaustedRetriesSurfaceAsDeadlock) {
   EXPECT_GE(checker.report().count(simcheck::DiagKind::Deadlock), 1u);
 }
 
+TEST(FaultRetry, LostRendezvousMessageReleasesItsSender) {
+  // A rendezvous message dropped for good: its sender pays every timeout
+  // and returns from send, while the receive stalls. With no retries the
+  // loss is decided at the first verdict, inside the sender's await.
+  for (const int max_retries : {0, 2}) {
+    DropFirstAttempts model(1000);
+    simmpi::RetryPolicy policy;
+    policy.max_retries = max_retries;
+    policy.timeout = 10e-6;
+
+    sim::Engine engine;
+    auto cluster = Cluster::numalink4_bx2b(2);
+    machine::Network network(engine, cluster);
+    simmpi::World world(engine, network,
+                        Placement::across_nodes(cluster, 2, 2));
+    world.set_fault_model(&model);
+    world.set_retry_policy(policy);
+    double send_returned = -1.0;
+    EXPECT_THROW(world.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
+      if (r.rank() == 0) {
+        co_await r.send(1, 1.0e6, 0);  // above the eager threshold
+        send_returned = r.engine().now();
+      } else {
+        (void)co_await r.recv(0, 0);
+      }
+    }),
+                 sim::DeadlockError);
+    EXPECT_GT(send_returned, 0.0) << max_retries;
+    EXPECT_EQ(world.messages_lost(), 1u) << max_retries;
+    EXPECT_EQ(world.messages_dropped(),
+              static_cast<std::uint64_t>(max_retries + 1));
+    EXPECT_EQ(world.retries(), static_cast<std::uint64_t>(max_retries));
+  }
+}
+
 // --------------------------------------------------------------------------
 // Placement fallback.
 // --------------------------------------------------------------------------

@@ -237,6 +237,43 @@ TEST(PassFixtures, NondetInterproceduralOutlivesALocalSuppression) {
   EXPECT_EQ(neg.suppressed, 1);
 }
 
+TEST(PassFixtures, CallbackTargetsAreHandlerRoots) {
+  // A function the engine calls through sim::Callback::method is a
+  // handler wherever it is defined: its global read is flagged, and the
+  // twin that reads only its own record is clean.
+  const RunResult pos = lint_fixture("callback_root_pos.cpp");
+  EXPECT_TRUE(pos.errors.empty()) << render_human(pos);
+  const std::set<std::pair<int, std::string>> expected = {
+      {17, "cross-rank-shared-mutable"}};
+  EXPECT_EQ(finding_set(pos), expected) << render_human(pos);
+
+  const RunResult neg = lint_fixture("callback_root_neg.cpp");
+  EXPECT_TRUE(neg.errors.empty()) << render_human(neg);
+  EXPECT_TRUE(neg.findings.empty()) << render_human(neg);
+}
+
+TEST(Scanner, CallbackTargetsBecomeHandlersAcrossFiles) {
+  // The target is scheduled in one file and defined in another.
+  EffectIndex index;
+  collect_effects("a.cpp",
+                  lex("void arm(sim::Engine& e, Step& s) {\n"
+                      "  e.schedule_at(0.0, sim::Callback::method<"
+                      "&ns::Step::tick>(&s));\n"
+                      "}\n"),
+                  index);
+  collect_effects("b.cpp", lex("void Step::tick() {}\nvoid tick() {}\n"),
+                  index);
+  finalize_effects(index);
+  const FunctionSummary* member = find_function(index, "Step::tick");
+  const FunctionSummary* free_fn = find_function(index, "tick");
+  const FunctionSummary* arm = find_function(index, "arm");
+  ASSERT_TRUE(member != nullptr && free_fn != nullptr && arm != nullptr);
+  EXPECT_TRUE(member->is_handler);
+  EXPECT_FALSE(free_fn->is_handler)
+      << "a same-name free function is not the scheduled member";
+  EXPECT_FALSE(arm->is_handler);
+}
+
 // --- Golden effect sets over the real tree ----------------------------------
 
 class GoldenEffects : public ::testing::Test {
@@ -305,6 +342,17 @@ TEST_F(GoldenEffects, SimmpiWildcardMatchPathIsRankLocal) {
   EXPECT_TRUE(rank_local_only(fn("Rank::matches").effects));
   EXPECT_TRUE(rank_local_only(fn("Rank::send").effects));
   EXPECT_TRUE(rank_local_only(fn("Rank::allreduce").effects));
+}
+
+TEST_F(GoldenEffects, SimmpiDeliveryStepsAreRankLocalCallbackHandlers) {
+  for (const char* q : {"Delivery::after_delay", "Delivery::after_backoff",
+                        "Delivery::arrived"}) {
+    const FunctionSummary& f = fn(q);
+    EXPECT_TRUE(f.is_handler) << q;
+    EXPECT_FALSE(f.is_coroutine) << q;
+    EXPECT_TRUE(f.effects & kEffWorldState) << q;
+    EXPECT_TRUE(rank_local_only(f.effects)) << q;
+  }
 }
 
 TEST_F(GoldenEffects, SimioFileAwaitablesAreRankLocalHandlers) {

@@ -1,5 +1,6 @@
 // Tests for the simulated MPI layer: p2p matching and ordering semantics,
-// eager vs rendezvous protocols, sendrecv concurrency, collective
+// eager vs rendezvous protocols, teardown with deliveries in flight,
+// sendrecv concurrency, collective
 // completion at scale, value-bearing allreduce correctness, and timing
 // accounting.
 
@@ -7,6 +8,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "common/check.hpp"
@@ -193,6 +195,38 @@ TEST(P2P, SendrecvBothRendezvousDoesNotDeadlock) {
     co_await r.sendrecv(peer, 1e6, peer, 3);
   });
   EXPECT_GT(makespan, 0.0);
+}
+
+TEST(P2P, ThrowWithEagerMessagesInFlightTearsDownClean) {
+  // Rank 0 throws right after its fourth eager send returns, while that
+  // delivery (at least) is still queued as callback events in the engine
+  // and ranks 2 and 3 are inside a rendezvous sendrecv. The run must
+  // surface the exception, and tearing down the World, the Network and
+  // the engine with pending events, queued port waiters, flows and
+  // envelopes in flight must free everything exactly once (the suite
+  // also runs under ASAN with LeakSanitizer as test_simmpi_asan).
+  for (const auto transport :
+       {machine::TransportModel::Event, machine::TransportModel::Flow}) {
+    sim::Engine engine;
+    const Cluster cluster = Cluster::single(NodeType::AltixBX2b);
+    Network network(engine, cluster, transport);
+    World world(engine, network, Placement::dense(cluster, 4));
+    EXPECT_THROW(world.run([&](Rank& r) -> sim::CoTask<void> {
+      if (r.rank() == 0) {
+        for (int tag = 0; tag < 4; ++tag) co_await r.send(1, 2048.0, tag);
+        throw std::runtime_error("rank 0 failed");
+      }
+      if (r.rank() == 1) {
+        for (int tag = 0; tag < 4; ++tag) (void)co_await r.recv(0, tag);
+      } else {
+        const int peer = 5 - r.rank();
+        co_await r.sendrecv(peer, 1 << 20, peer, 9);
+      }
+    }),
+                 std::runtime_error);
+    EXPECT_LT(network.transfers_completed(), 4u)
+        << "no delivery was in flight at the throw";
+  }
 }
 
 TEST(P2P, PingPongTimingMatchesModel) {

@@ -470,6 +470,12 @@ TEST(Protocol, HardErrors) {
       "{\"op\":\"eval\",\"spec\":{\"experiment\":\"fig5\",\"bogus\":1}}",
       req, error));
   EXPECT_NE(error.find("unknown scenario spec field"), std::string::npos);
+  // Malformed UTF-8 inside a string is a parse error with a position, so
+  // no response can echo the raw bytes back.
+  EXPECT_FALSE(simserve::parse_request(
+      "{\"op\":\"eval\",\"id\":\"u1\",\"spec\":{\"experiment\":\"tab\xffle1\"}}",
+      req, error));
+  EXPECT_EQ(error, "json:1:49: invalid UTF-8 in string");
 }
 
 TEST(Protocol, ResponseLineShapes) {
@@ -565,12 +571,13 @@ TEST(ServeStream, MalformedLinesGetErrorResponses) {
       "\"id\":\"7\"}\n"
       "{\"op\":\"eval\",\"id\":\"8\",\"spec\":{\"experiment\":\"table1\","
       "\"race_explore\":true}}\n"
+      "{\"op\":\"eval\",\"id\":\"u1\",\"spec\":{\"experiment\":\"tab\xffle1\"}}\n"
       "{\"op\":\"ping\"}\n");
   std::ostringstream out;
   simserve::serve_stream(in, out, service);
   const auto lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 7u);  // blank line is ignored, not an error
-  for (std::size_t i = 0; i < 6; ++i) {
+  ASSERT_EQ(lines.size(), 8u);  // blank line is ignored, not an error
+  for (std::size_t i = 0; i < 7; ++i) {
     EXPECT_NE(lines[i].find("\"status\":\"error\""), std::string::npos);
   }
   EXPECT_NE(lines[2].find("nesting deeper than 64 levels"), std::string::npos);
@@ -581,7 +588,12 @@ TEST(ServeStream, MalformedLinesGetErrorResponses) {
   EXPECT_EQ(lines[4], "{\"id\":\"7\"," + bad_seed);
   EXPECT_EQ(lines[5].rfind("{\"id\":\"8\",", 0), 0u) << lines[5];
   EXPECT_NE(lines[5].find("unknown scenario spec field"), std::string::npos);
-  EXPECT_EQ(lines[6], "{\"status\":\"pong\"}");
+  // Invalid UTF-8 gets one error line that is itself valid UTF-8 (all
+  // ASCII here: the raw 0xFF byte is not echoed).
+  EXPECT_EQ(lines[6],
+            "{\"status\":\"error\",\"error\":\"json:1:49: invalid UTF-8 in "
+            "string\"}");
+  EXPECT_EQ(lines[7], "{\"status\":\"pong\"}");
   EXPECT_EQ(calls.load(), 0);
 }
 
