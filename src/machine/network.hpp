@@ -85,6 +85,10 @@ class Network {
     Transfer(int src, int dst, double bytes, sim::Callback done)
         : src_(src), dst_(dst), bytes_(bytes), done_(done) {}
 
+    int src() const { return src_; }
+    int dst() const { return dst_; }
+    double bytes() const { return bytes_; }
+
    private:
     friend class Network;
     /// Acquires the rest of the path; the grant callback of a queued hop.

@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <utility>
 
@@ -18,6 +20,10 @@ thread_local Engine* g_current_engine = nullptr;
 
 // Cross-engine, cross-thread event total for the bench harness.
 std::atomic<std::uint64_t> g_total_events{0};
+
+// The queue's sort key: for t >= 0 the bits order like the values, and
+// adding +0.0 folds -0.0 into +0.0.
+std::uint64_t time_key(Time t) { return std::bit_cast<std::uint64_t>(t + 0.0); }
 }  // namespace
 
 std::uint64_t total_events_processed() {
@@ -41,8 +47,7 @@ void Task::promise_type::unhandled_exception() noexcept {
 Engine::Engine() {
   // A typical scenario schedules hundreds of concurrent ranks; start with
   // room for them so the first run() does not grow the queue step by step.
-  heap_.reserve(1024);
-  lane_.reserve(1024);
+  slots_.reserve(1024);
 }
 
 Engine::~Engine() {
@@ -64,76 +69,72 @@ void Engine::spawn(Task task) {
   schedule_at(now_, h);
 }
 
-void Engine::heap_push(Event ev) {
-  // Inline sift-up on the reusable vector: one comparison per level, no
-  // comparator object, no container adaptor indirection.
-  std::size_t i = heap_.size();
-  heap_.push_back(ev);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!heap_[i].before(heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-Engine::Event Engine::heap_pop() {
-  Event top = heap_.front();
-  Event last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    // Sift the former last element down from the root.
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= n) break;
-      const std::size_t right = left + 1;
-      std::size_t best = left;
-      if (right < n && heap_[right].before(heap_[left])) best = right;
-      if (!heap_[best].before(last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-  }
-  return top;
-}
-
-Engine::Event Engine::lane_pop() {
-  const Event ev = lane_[lane_head_++];
-  // Time cannot advance past a non-empty lane, so it drains at least once
-  // per instant; that bounds its length by one instant's events.
-  if (lane_head_ == lane_.size()) {
-    lane_.clear();
-    lane_head_ = 0;
-  }
-  return ev;
-}
-
-void Engine::schedule_at(Time t, Callback cb) {
+std::uint32_t Engine::push(Time t, Callback cb) {
   COL_REQUIRE(t >= now_, "cannot schedule an event in the past");
   COL_REQUIRE(static_cast<bool>(cb), "cannot schedule a null callback");
-  // Same-time events carry a larger seq than anything queued so far, so
-  // appending keeps the lane sorted; run() interleaves it with the heap.
-  if (t == now_) {
-    lane_.push_back(Event{t, next_seq_++, cb});
+  std::uint32_t i = free_;
+  if (i != kNoSlot) {
+    free_ = slots_[i].next;
   } else {
-    heap_push(Event{t, next_seq_++, cb});
+    COL_CHECK(slots_.size() < kNoSlot, "event queue out of slots");
+    i = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{0, {}, kNoSlot, 1});
+  }
+  slots_[i].key = time_key(t);
+  slots_[i].cb = cb;
+  COL_CHECK(slots_[i].key >= floor_, "event queued below the queue's floor");
+  append(i);
+  return i;
+}
+
+void Engine::append(std::uint32_t i) {
+  Slot& s = slots_[i];
+  // 0 for key == floor_, else one more than the highest differing bit.
+  const int b = 64 - std::countl_zero(s.key ^ floor_);
+  if (b != 0) nonempty_ |= std::uint64_t{1} << (b - 1);
+  s.next = kNoSlot;
+  Bucket& q = buckets_[b];
+  if (q.head == kNoSlot) {
+    q.head = i;
+  } else {
+    slots_[q.tail].next = i;
+  }
+  q.tail = i;
+}
+
+void Engine::refill() {
+  const int b = std::countr_zero(nonempty_) + 1;
+  nonempty_ &= nonempty_ - 1;
+  std::uint32_t i = buckets_[b].head;
+  buckets_[b] = Bucket{};
+  std::uint64_t least = slots_[i].key;
+  for (std::uint32_t j = slots_[i].next; j != kNoSlot; j = slots_[j].next) {
+    least = std::min(least, slots_[j].key);
+  }
+  // Every key in bucket b agrees with the new floor above bit b-1, so each
+  // moves to a lower bucket (the least to bucket 0); the buckets above b
+  // keep their meaning. Relinking in list order keeps equal times FIFO.
+  floor_ = least;
+  while (i != kNoSlot) {
+    const std::uint32_t next = slots_[i].next;
+    append(i);
+    i = next;
   }
 }
+
+void Engine::schedule_at(Time t, Callback cb) { push(t, cb); }
 
 std::uint64_t Engine::schedule_cancellable_at(Time t, Callback cb) {
-  COL_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  COL_REQUIRE(static_cast<bool>(cb), "cannot schedule a null callback");
-  const std::uint64_t token = next_cancel_token_++;
-  heap_push(Event{t, next_seq_++, cb, token});
-  return token;
+  const std::uint32_t i = push(t, cb);
+  return std::uint64_t{slots_[i].gen} << 32 | i;
 }
 
 void Engine::cancel_scheduled(std::uint64_t token) {
   COL_REQUIRE(token != 0, "cannot cancel the null token");
-  cancelled_.insert(token);
+  const auto i = static_cast<std::uint32_t>(token);
+  // A slot's gen moves on when it is freed, so only the pending event the
+  // token was issued for matches.
+  if (i < slots_.size() && slots_[i].gen == token >> 32) slots_[i].cb = {};
 }
 
 void Engine::on_task_finished(std::coroutine_handle<Task::promise_type> h) {
@@ -196,17 +197,30 @@ void Engine::run() {
     }
   } restore{prev, this, events_at_entry, wall_start};
 
-  while (lane_head_ < lane_.size() || !heap_.empty()) {
-    const Event ev = lane_first() ? lane_pop() : heap_pop();
-    COL_CHECK(ev.time >= now_, "event queue went backwards in time");
-    if (ev.token != 0 && cancelled_.erase(ev.token) > 0) {
+  for (;;) {
+    if (buckets_[0].head == kNoSlot) {
+      if (nonempty_ == 0) break;
+      refill();
+    }
+    // Copy the event out and free its slot first: the callback may
+    // schedule into the slot, or throw.
+    const std::uint32_t i = buckets_[0].head;
+    Slot& s = slots_[i];
+    buckets_[0].head = s.next;
+    const auto t = std::bit_cast<Time>(s.key);
+    const Callback cb = s.cb;
+    s.next = free_;
+    ++s.gen;
+    free_ = i;
+    COL_CHECK(t >= now_, "event queue went backwards in time");
+    if (!cb) {
       // Revoked before firing: drop it without touching now_ or the event
       // counters, so a retargeted timer cannot stretch the simulation.
       continue;
     }
-    now_ = ev.time;
+    now_ = t;
     ++events_processed_;
-    ev.cb();
+    cb();
     if (!finished_.empty() || !finished_frames_.empty()) reap_finished();
     if (pending_exception_) {
       auto e = pending_exception_;
@@ -214,6 +228,9 @@ void Engine::run() {
       std::rethrow_exception(e);
     }
   }
+  // A dropped cancelled event can leave the floor above now_; later
+  // schedules (a second spawn and run) may start at now_ again.
+  floor_ = time_key(now_);
   if (live_tasks_ > 0) {
     if (deadlock_hook_) deadlock_hook_();
     throw DeadlockError("simulation deadlock: event queue empty with " +

@@ -3,11 +3,11 @@
 /// Deterministic single-threaded discrete-event engine.
 ///
 /// Simulated processes are C++20 coroutines (`Task`). The engine owns a
-/// (time, sequence)-ordered event heap; each event runs one `Callback`:
+/// time-ordered event queue; each event runs one `Callback`:
 /// resuming a suspended coroutine, or one step of a protocol state machine
 /// (a network transfer, a message delivery, the flow solver's wake) that
-/// needs no coroutine frame of its own. Determinism: ties in time are
-/// broken by insertion sequence, and all randomness comes from seeded
+/// needs no coroutine frame of its own. Determinism: events at equal
+/// times run in scheduling order, and all randomness comes from seeded
 /// `columbia::Rng` streams.
 ///
 /// Concurrency model: one engine is single-threaded by construction (the
@@ -15,22 +15,22 @@
 /// different host threads are safe — the scenario runner in core/ relies
 /// on exactly that (one engine per sweep point, no shared mutable state).
 ///
-/// Hot path: `run()` is one queue pop + one callback call per event.
-/// Events scheduled for the current time (trigger wakes, resource grants,
-/// spawns) go to a same-time FIFO lane; only future and cancellable events
-/// enter the heap, an inline binary heap over a reusable vector (no
-/// per-event allocation, no std::priority_queue indirection). `run()` takes
-/// the lane's front whenever it precedes the heap top by (time, seq), so
-/// the lane changes no event's order, only its cost. Finished-task reaping
-/// is O(1) swap-remove through the owned-list slot each Task's promise
+/// Hot path: `run()` is one queue pop + one callback call per event. The
+/// queue is a monotone radix queue (time never goes backwards): bucket 0
+/// holds the current instant, and a later event goes to the bucket of the
+/// highest bit in which its time's IEEE-754 pattern differs from the
+/// current one. Buckets are FIFO lists over one reusable slot vector with
+/// a free list, so equal times run in scheduling order with no sequence
+/// numbers, comparisons or per-event allocation. Finished-task reaping is
+/// O(1) swap-remove through the owned-list slot each Task's promise
 /// carries; a finished when_all child's frame is freed after its event.
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -99,8 +99,8 @@ class Engine {
   /// that escaped a simulated process.
   void run();
 
-  /// Schedules `cb` to run at absolute time `t` (>= now). Events at
-  /// t == now() skip the heap; they still run in (time, seq) order.
+  /// Schedules `cb` to run at absolute time `t` (>= now). Events at equal
+  /// times run in the order they were scheduled.
   void schedule_at(Time t, Callback cb);
   /// Schedules `h` to resume at `t`.
   void schedule_at(Time t, std::coroutine_handle<> h) {
@@ -121,9 +121,10 @@ class Engine {
   /// transport's solver, whose single wake-up moves whenever the active
   /// flow set changes.
   std::uint64_t schedule_cancellable_at(Time t, Callback cb);
-  /// Revokes a pending cancellable event. Must not be called after the
-  /// event has already fired (callers track their own pending state);
-  /// tokens are never reused, so a stale cancel can only leak a set entry.
+  /// Revokes the event `token` names if it is still pending. A token
+  /// names one scheduling only: cancelling an event that already ran or
+  /// was already cancelled does nothing, and never revokes a later event
+  /// that reuses its queue slot.
   void cancel_scheduled(std::uint64_t token);
 
   /// Awaitable: `co_await engine.delay(dt)` advances this process by dt.
@@ -141,10 +142,7 @@ class Engine {
   }
 
   /// Pre-sizes the event queue (e.g. before spawning a large rank count).
-  void reserve_events(std::size_t n) {
-    heap_.reserve(n);
-    lane_.reserve(n);
-  }
+  void reserve_events(std::size_t n) { slots_.reserve(n); }
 
   /// Hook invoked when run() drains the queue while live processes remain
   /// suspended, immediately before DeadlockError is thrown. simcheck's
@@ -185,40 +183,44 @@ class Engine {
   }
 
  private:
-  struct Event {
-    Time time;
-    std::uint64_t seq;
+  /// A pending event or a free slot: `key` is the time's bit pattern,
+  /// `next` links the bucket or free list, and `gen` counts frees, so a
+  /// cancel token `gen << 32 | index` names one scheduling. An empty `cb`
+  /// marks a cancelled event.
+  struct Slot {
+    std::uint64_t key;
     Callback cb;
-    std::uint64_t token = 0;  ///< nonzero: revocable via cancel_scheduled
-    // Min-heap priority: earlier time first, then insertion order.
-    bool before(const Event& other) const {
-      if (time != other.time) return time < other.time;
-      return seq < other.seq;
-    }
+    std::uint32_t next;
+    std::uint32_t gen;
   };
+  /// A FIFO list of slots.
+  struct Bucket {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  void heap_push(Event ev);
-  Event heap_pop();
-  /// True when the lane's front is the next event in (time, seq) order.
-  bool lane_first() const {
-    return lane_head_ < lane_.size() &&
-           (heap_.empty() || lane_[lane_head_].before(heap_.front()));
-  }
-  Event lane_pop();
+  /// Stores an event in a free slot and queues it; returns the slot.
+  std::uint32_t push(Time t, Callback cb);
+  /// Queues slot `i` at the tail of its bucket relative to floor_.
+  void append(std::uint32_t i);
+  /// Bucket 0 is empty: moves floor_ to the earliest pending time and
+  /// relinks that time's bucket, in list order, into lower buckets.
+  void refill();
   void reap_finished();
 
   Time now_ = kTimeZero;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_cancel_token_ = 1;
-  std::unordered_set<std::uint64_t> cancelled_;  ///< revoked, not yet popped
   std::uint64_t events_processed_ = 0;
   double run_wall_seconds_ = 0.0;
   std::size_t live_tasks_ = 0;
-  std::vector<Event> heap_;  ///< inline binary min-heap, reused across runs
-  /// Same-time FIFO lane: non-cancellable events scheduled at t == now_,
-  /// in seq order from lane_head_. Time only advances once it is empty.
-  std::vector<Event> lane_;
-  std::size_t lane_head_ = 0;
+  /// Event storage, reused across runs; free slots chain from free_.
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNoSlot;
+  /// Bit pattern of the current instant. Bucket 0 holds events at floor_;
+  /// bucket b >= 1 those whose highest bit differing from it is bit b-1.
+  std::uint64_t floor_ = 0;
+  std::uint64_t nonempty_ = 0;  ///< bit b-1 set: bucket b is not empty
+  std::array<Bucket, 65> buckets_;
   std::vector<std::coroutine_handle<Task::promise_type>> finished_;
   std::vector<std::coroutine_handle<>> finished_frames_;  ///< when_all children
   /// Spawned, not yet reaped; task i's promise holds slot == i.

@@ -1,8 +1,8 @@
 #pragma once
 /// \file time.hpp
-/// Simulated time. Seconds as double; event ordering ties are broken by a
-/// monotonically increasing sequence number so every run of a given seed
-/// produces an identical timeline.
+/// Simulated time. Seconds as double; events at equal times run in the
+/// order they were scheduled, so every run of a given seed produces an
+/// identical timeline.
 
 namespace columbia::sim {
 

@@ -180,7 +180,7 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
   const double match_cost =
       0.3e-6 +
       (env->eager
-           ? env->bytes /
+           ? env->delivery.bytes() /
                  world_->network().cluster().node_spec().mem.cpu_stream_bw
            : 0.0);
   co_await eng.delay(match_cost);
@@ -188,7 +188,7 @@ sim::CoTask<Message> Rank::recv(int src, int tag) {
   Message msg;
   msg.source = env->src;
   msg.tag = env->tag;
-  msg.bytes = env->bytes;
+  msg.bytes = env->delivery.bytes();
   msg.payload = std::move(env->payload);
 
   // Release the envelope from the unexpected queue.
@@ -598,6 +598,14 @@ sim::Task World::rank_main(Rank& r, const Program& program) {
 // World::Delivery: the retry loop as callback steps
 // ---------------------------------------------------------------------------
 
+World::Delivery::Delivery(World& world, sim::Trigger& delivered, int src_cpu,
+                          int dst_cpu, double bytes, std::uint64_t serial)
+    : world_(&world),
+      delivered_(&delivered),
+      serial_(serial),
+      transfer_(src_cpu, dst_cpu, bytes,
+                sim::Callback::method<&Delivery::arrived>(this)) {}
+
 bool World::Delivery::set_out() {
   if (world_->fault_model_ == nullptr) return transmit();
   wait_ = world_->retry_policy_.timeout;
@@ -607,7 +615,8 @@ bool World::Delivery::set_out() {
 bool World::Delivery::attempt() {
   machine::FaultModel* fm = world_->fault_model_;
   const machine::MessageVerdict verdict =
-      fm->message_verdict(src_cpu_, dst_cpu_, bytes_, serial_, attempt_);
+      fm->message_verdict(transfer_.src(), transfer_.dst(), transfer_.bytes(),
+                          serial_, attempt_);
   if (!verdict.dropped) {
     if (verdict.extra_delay > 0.0) {
       world_->engine_->schedule_after(
@@ -640,9 +649,6 @@ void World::Delivery::after_backoff() {
 }
 
 bool World::Delivery::transmit() {
-  transfer_ = machine::Network::Transfer(
-      src_cpu_, dst_cpu_, bytes_,
-      sim::Callback::method<&Delivery::arrived>(this));
   if (!world_->network_->inject(transfer_)) return false;
   delivered_->fire();
   return true;

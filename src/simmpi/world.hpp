@@ -255,23 +255,24 @@ class World {
   std::uint64_t messages_lost() const { return messages_lost_; }
 
   /// One message's trip to its receiver (internal, held in the message's
-  /// Envelope next to its Network::Transfer): the fault verdict, extra
-  /// delay, timeout with backoff and retry around the transfer, each step
-  /// a callback event. Clean, faulted and flow deliveries all take it. On
-  /// delivery it fires `delivered`; delivered or lost for good, it then
-  /// resumes the rendezvous sender awaiting it, if any. A lost message
-  /// never fires `delivered`, so the matched receive stalls and the
-  /// engine surfaces a DeadlockError.
+  /// Envelope): the fault verdict, extra delay, timeout with backoff and
+  /// retry around its Network::Transfer, each step a callback event. The
+  /// Transfer, built once, alone holds the message's CPUs and size; the
+  /// first attempt not dropped injects it. Clean, faulted and flow
+  /// deliveries all take it. On delivery it fires `delivered`; delivered
+  /// or lost for good, it then resumes the rendezvous sender awaiting it,
+  /// if any. A lost message never fires `delivered`, so the matched
+  /// receive stalls and the engine surfaces a DeadlockError.
   class Delivery {
    public:
     Delivery(World& world, sim::Trigger& delivered, int src_cpu,
-             int dst_cpu, double bytes, std::uint64_t serial)
-        : world_(&world),
-          delivered_(&delivered),
-          src_cpu_(src_cpu),
-          dst_cpu_(dst_cpu),
-          bytes_(bytes),
-          serial_(serial) {}
+             int dst_cpu, double bytes, std::uint64_t serial);
+    // The transfer calls back into this object, so it stays put.
+    Delivery(const Delivery&) = delete;
+    Delivery& operator=(const Delivery&) = delete;
+
+    /// The message size in bytes.
+    double bytes() const { return transfer_.bytes(); }
 
     /// Sets out now; an eager send schedules this as an event.
     void depart() {
@@ -308,9 +309,6 @@ class World {
 
     World* world_;
     sim::Trigger* delivered_;
-    int src_cpu_;
-    int dst_cpu_;
-    double bytes_;
     std::uint64_t serial_;  ///< the fault model's per-message key
     int attempt_ = 0;
     double wait_ = 0.0;  ///< the next loss-detection timeout
@@ -354,13 +352,11 @@ class World {
 struct Rank::Envelope {
   Envelope(World& world, int src_cpu, int dst_cpu, double size,
            std::uint64_t serial)
-      : bytes(size),
-        delivered(world.engine()),
+      : delivered(world.engine()),
         rts_matched(world.engine()),
         delivery(world, delivered, src_cpu, dst_cpu, size, serial) {}
   int src = 0;
   int tag = 0;
-  double bytes = 0.0;
   std::vector<double> payload;
   bool eager = true;
   bool claimed = false;  // already matched to a receive

@@ -22,8 +22,11 @@
 /// Malformed requests get a single {"status":"error",...} line, carrying
 /// the request's "id" when that field is a string. Clients correlate by
 /// id (or spec_hash); responses from concurrent evals may interleave in
-/// completion order.
+/// completion order. A request line longer than kMaxRequestLineBytes is
+/// not read past the cap: it gets one error line and the session goes on
+/// with the next line.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,9 @@
 #include "simserve/service.hpp"
 
 namespace columbia::simserve {
+
+/// Longest request line a session buffers, newline excluded.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct Request {
   enum class Op { kEval, kPing, kList, kStats, kShutdown };

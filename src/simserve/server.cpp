@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -47,6 +48,26 @@ struct SessionState {
   }
 };
 
+/// std::getline that keeps at most kMaxRequestLineBytes of a line and
+/// drops the rest of a longer one, reporting it in `too_long`.
+bool read_request_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf& buf = *in.rdbuf();
+  bool any = false;
+  for (int c = buf.sbumpc(); c != std::char_traits<char>::eof();
+       c = buf.sbumpc()) {
+    any = true;
+    if (c == '\n') return true;
+    if (line.size() < kMaxRequestLineBytes) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      too_long = true;
+    }
+  }
+  return any;
+}
+
 bool blank(const std::string& line) {
   for (const char c : line) {
     if (c != ' ' && c != '\t' && c != '\r') return false;
@@ -54,11 +75,18 @@ bool blank(const std::string& line) {
   return true;
 }
 
-/// Dispatches one request line. Returns true when it was a shutdown
-/// request (already acknowledged).
-bool handle_line(const std::string& line, Service& service,
+/// Dispatches one request line, or answers one cut at the length cap
+/// (`too_long`). Returns true when it was a shutdown request (already
+/// acknowledged).
+bool handle_line(const std::string& line, bool too_long, Service& service,
                  const ListFn& list_ids,
                  const std::shared_ptr<SessionState>& state) {
+  if (too_long) {
+    state->write_line(error_line(
+        "", "request line longer than " +
+                std::to_string(kMaxRequestLineBytes) + " bytes"));
+    return false;
+  }
   if (blank(line)) return false;
   Request req;
   std::string err;
@@ -105,8 +133,9 @@ bool serve_stream(std::istream& in, std::ostream& out, Service& service,
   };
   bool shutdown = false;
   std::string line;
-  while (!shutdown && std::getline(in, line)) {
-    shutdown = handle_line(line, service, list_ids, state);
+  bool too_long = false;
+  while (!shutdown && read_request_line(in, line, too_long)) {
+    shutdown = handle_line(line, too_long, service, list_ids, state);
   }
   // Every accepted eval gets its result line before the stream ends.
   state->wait_pending();
@@ -193,22 +222,33 @@ void TcpServer::connection_loop(int fd, std::size_t index) {
     }
   };
 
-  std::string buffer;
+  // The line being received; each byte is scanned once, and a line over
+  // kMaxRequestLineBytes is dropped up to its newline.
+  std::string line;
+  bool too_long = false;
   char chunk[4096];
   bool shutdown = false;
   while (!shutdown) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && !shutdown;
-         nl = buffer.find('\n', start)) {
-      shutdown = handle_line(buffer.substr(start, nl - start), service_,
-                             list_ids_, state);
-      start = nl + 1;
+    const char* const end = chunk + n;
+    for (const char* p = chunk; p != end && !shutdown;) {
+      const char* const nl = std::find(p, end, '\n');
+      if (!too_long) {
+        const auto part = static_cast<std::size_t>(nl - p);
+        too_long = line.size() + part > kMaxRequestLineBytes;
+        if (too_long) {
+          line.clear();
+        } else {
+          line.append(p, part);
+        }
+      }
+      if (nl == end) break;
+      shutdown = handle_line(line, too_long, service_, list_ids_, state);
+      line.clear();
+      too_long = false;
+      p = nl + 1;
     }
-    buffer.erase(0, start);
   }
   state->wait_pending();
   {

@@ -1,19 +1,25 @@
 // Unit tests for the discrete-event engine: time ordering (including
-// same-time and cancellable events, callbacks among coroutine resumes),
+// same-time and cancellable events, callbacks among coroutine resumes,
+// and a seeded differential check against a stable sort by time),
 // coroutine lifecycles, nested CoTask value/exception propagation,
 // when_all joins, triggers, contended resources (callback and coroutine
 // waiters), barriers, deadlock detection, and determinism.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "sim/barrier.hpp"
 #include "sim/engine.hpp"
 #include "sim/join.hpp"
@@ -30,6 +36,13 @@ Task delayer(Engine& eng, std::vector<double>& log, double dt) {
   co_await eng.delay(dt);
   log.push_back(eng.now());
 }
+
+/// A callback target: logs its name when an event calls it.
+struct Step {
+  std::vector<std::string>* log;
+  std::string name;
+  void run() { log->push_back(name); }
+};
 
 TEST(Engine, DelaysFireInTimeOrder) {
   Engine eng;
@@ -56,6 +69,24 @@ TEST(Engine, TiesBreakInSpawnOrder) {
   eng.run();
   ASSERT_EQ(order.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+
+  // -0.0 is the instant 0.0: at now() == 0 it ties with 0.0 in scheduling
+  // order and precedes every positive time, even the least subnormal.
+  Engine zero;
+  std::vector<std::string> log;
+  Step steps[] = {{&log, "tiny"}, {&log, "-0 first"}, {&log, "+0"},
+                  {&log, "-0 last"}};
+  const auto step = [&steps](int i) {
+    return Callback::method<&Step::run>(&steps[i]);
+  };
+  zero.schedule_at(std::numeric_limits<double>::denorm_min(), step(0));
+  zero.schedule_at(-0.0, step(1));
+  zero.schedule_at(0.0, step(2));
+  zero.schedule_at(-0.0, step(3));
+  zero.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"-0 first", "+0", "-0 last",
+                                           "tiny"}));
+  EXPECT_EQ(zero.now(), std::numeric_limits<double>::denorm_min());
 }
 
 TEST(Engine, SequentialDelaysAccumulate) {
@@ -502,16 +533,179 @@ TEST(Engine, CancelledEventLeavesNoTrace) {
   // revoked event at 5 does not count.
   EXPECT_EQ(eng.events_processed(), 4u);
   EXPECT_EQ(eng.live_tasks(), 0u);
+
+  // The run ended by dropping the revoked event at 5, later than now():
+  // the engine stays usable from now() == 2.
+  eng.spawn(delayer(eng, resumed, 0.5));
+  eng.run();
+  EXPECT_EQ(resumed, (std::vector<double>{2.0, 2.5}));
+  EXPECT_EQ(eng.events_processed(), 6u);
+
+  // A token names one scheduling. Cancelling after the event ran, or a
+  // second time, revokes nothing, not even a later event that reuses the
+  // revoked event's queue slot.
+  Engine reuse;
+  std::vector<std::string> log;
+  Step a{&log, "a"};
+  Step b{&log, "b"};
+  Step c{&log, "c"};
+  Step d{&log, "d"};
+  Step e{&log, "e"};
+  const std::uint64_t ta =
+      reuse.schedule_cancellable_at(1.0, Callback::method<&Step::run>(&a));
+  reuse.run();
+  reuse.cancel_scheduled(ta);  // a already ran
+  const std::uint64_t tb =
+      reuse.schedule_cancellable_at(2.0, Callback::method<&Step::run>(&b));
+  reuse.cancel_scheduled(ta);  // stale again, with b pending
+  reuse.schedule_at(3.0, Callback::method<&Step::run>(&c));
+  reuse.cancel_scheduled(tb);
+  reuse.cancel_scheduled(tb);  // double cancel
+  reuse.run();
+  // The run used two queue slots, both free again, so d and e reuse them.
+  reuse.schedule_at(4.0, Callback::method<&Step::run>(&d));
+  reuse.schedule_at(5.0, Callback::method<&Step::run>(&e));
+  reuse.cancel_scheduled(ta);
+  reuse.cancel_scheduled(tb);
+  reuse.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "c", "d", "e"}));
+  EXPECT_DOUBLE_EQ(reuse.now(), 5.0);
+  EXPECT_EQ(reuse.events_processed(), 4u);
+}
+
+// --- the queue against a reference order -------------------------------------
+
+/// Seeded events that schedule more events from inside events, at times
+/// that tie, repeat one absolute time or step by 1e-9 to 1e3 or by
+/// subnormals; some are cancellable, and some of those get cancelled (or
+/// cancelled again, or after they ran) and retargeted. Records the order
+/// in which the events run.
+class QueueFuzz {
+ public:
+  QueueFuzz(Engine& eng, std::uint64_t seed, std::size_t budget)
+      : eng_(eng), rng_(seed), budget_(budget) {}
+
+  void start() {
+    for (int i = 0; i < 6; ++i) add(next_time(), i % 3 == 0);
+  }
+
+  /// Every scheduled event, stably sorted by time (ids are scheduling
+  /// order), less those cancelled before they ran.
+  std::vector<std::size_t> expected() const {
+    std::vector<std::size_t> order;
+    for (const Event& ev : events_) {
+      if (!ev.cancelled) order.push_back(ev.id);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return events_[a].time < events_[b].time;
+                     });
+    return order;
+  }
+  const std::vector<std::size_t>& ran() const { return ran_; }
+  std::size_t scheduled() const { return events_.size(); }
+  std::size_t cancelled() const {
+    return static_cast<std::size_t>(
+        std::count_if(events_.begin(), events_.end(),
+                      [](const Event& ev) { return ev.cancelled; }));
+  }
+  std::size_t stale_cancels() const { return stale_cancels_; }
+
+ private:
+  struct Event {
+    QueueFuzz* fuzz;
+    std::size_t id;
+    Time time;
+    std::uint64_t token = 0;
+    bool cancelled = false;
+    bool ran = false;
+    void fire() { fuzz->on_fire(*this); }
+  };
+
+  Time next_time() {
+    const Time now = eng_.now();
+    switch (rng_.next_below(5)) {
+      case 0:
+        return now;
+      case 1: {  // one absolute time, repeated until it has passed
+        const Time anchor = kAnchors[rng_.next_below(3)];
+        return anchor >= now ? anchor : now;
+      }
+      case 2:
+        return now + std::pow(10.0, static_cast<double>(rng_.next_below(13)) -
+                                        9.0);
+      case 3:
+        return now + rng_.uniform(1e-9, 1e3);
+      default:  // subnormal steps: distinct times near 0, ties later on
+        return now + std::numeric_limits<double>::denorm_min() *
+                         static_cast<double>(1 + rng_.next_below(4));
+    }
+  }
+
+  void add(Time t, bool cancellable) {
+    events_.push_back({this, events_.size(), t});
+    Event& ev = events_.back();
+    const Callback cb = Callback::method<&Event::fire>(&ev);
+    if (cancellable) {
+      ev.token = eng_.schedule_cancellable_at(t, cb);
+      cancellable_.push_back(ev.id);
+    } else {
+      eng_.schedule_at(t, cb);
+    }
+  }
+
+  void on_fire(Event& ev) {
+    EXPECT_EQ(eng_.now(), ev.time);
+    EXPECT_FALSE(ev.cancelled);
+    ev.ran = true;
+    ran_.push_back(ev.id);
+    const std::uint64_t children = rng_.next_below(4);
+    for (std::uint64_t i = 0; i < children && events_.size() < budget_; ++i) {
+      add(next_time(), rng_.next_below(4) == 0);
+    }
+    if (!cancellable_.empty() && rng_.next_below(3) == 0) {
+      // Revoke a cancellable event, pending or not (possibly this one),
+      // and retarget it the way the flow solver moves its wake.
+      const std::size_t pick = rng_.next_below(cancellable_.size());
+      Event& victim = events_[cancellable_[pick]];
+      eng_.cancel_scheduled(victim.token);
+      if (rng_.next_below(2) == 0) eng_.cancel_scheduled(victim.token);
+      if (victim.ran) {
+        ++stale_cancels_;
+      } else {
+        victim.cancelled = true;
+      }
+      if (events_.size() < budget_) add(next_time(), true);
+    }
+  }
+
+  static constexpr Time kAnchors[] = {1.0, 1e3, 1e5};
+  Engine& eng_;
+  Rng rng_;
+  std::size_t budget_;
+  std::deque<Event> events_;  // stable addresses for the callbacks
+  std::vector<std::size_t> cancellable_;
+  std::vector<std::size_t> ran_;
+  std::size_t stale_cancels_ = 0;
+};
+
+TEST(Engine, RunOrderIsAStableSortByTimeLessCancelledEvents) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Engine eng;
+    QueueFuzz fuzz(eng, seed, 3000);
+    fuzz.start();
+    eng.run();
+    EXPECT_EQ(fuzz.ran(), fuzz.expected());
+    EXPECT_EQ(eng.events_processed(), fuzz.ran().size());
+    // The seeds exercise what the test is about.
+    EXPECT_EQ(fuzz.scheduled(), 3000u);
+    EXPECT_GT(fuzz.cancelled(), 0u);
+    EXPECT_GT(fuzz.stale_cancels(), 0u);
+  }
 }
 
 // --- callback events, mixed waiters and when_all children -------------------
-
-/// A callback target: logs its name when an event calls it.
-struct Step {
-  std::vector<std::string>* log;
-  std::string name;
-  void run() { log->push_back(name); }
-};
 
 /// Awaitable: suspends and leaves the handle in `slot` for someone else
 /// to schedule.
@@ -529,8 +723,8 @@ Task parked(std::coroutine_handle<>& slot, std::vector<std::string>& log,
 }
 
 struct MixedSchedule {
-  std::vector<std::coroutine_handle<>> resumes;  // lane, heap, cancellable
-  std::vector<Step> steps;  // lane x2, heap x2, cancellable
+  std::vector<std::coroutine_handle<>> resumes;  // now, later, cancellable
+  std::vector<Step> steps;  // now x2, later x2, cancellable
 };
 
 Task schedule_mixed(Engine& e, MixedSchedule& m) {
@@ -538,11 +732,11 @@ Task schedule_mixed(Engine& e, MixedSchedule& m) {
   auto step = [&m](std::size_t i) {
     return Callback::method<&Step::run>(&m.steps[i]);
   };
-  // Same instant: the lane.
+  // The current instant.
   e.schedule_at(1.0, step(0));
   e.schedule_at(1.0, m.resumes[0]);
   e.schedule_at(1.0, step(1));
-  // Later instant: the heap, with cancellable events among the rest.
+  // A later instant, with cancellable events among the rest.
   e.schedule_at(2.0, m.resumes[1]);
   e.schedule_at(2.0, step(2));
   (void)e.schedule_cancellable_at(2.0, step(4));
@@ -555,20 +749,21 @@ TEST(Callback, RunsInSeqOrderWithCoroutineResumes) {
   std::vector<std::string> log;
   MixedSchedule m;
   m.resumes.resize(3);
-  m.steps = {{&log, "lane-callback-1"},
-             {&log, "lane-callback-2"},
-             {&log, "heap-callback-1"},
-             {&log, "heap-callback-2"},
+  m.steps = {{&log, "now-callback-1"},
+             {&log, "now-callback-2"},
+             {&log, "later-callback-1"},
+             {&log, "later-callback-2"},
              {&log, "cancellable-callback"}};
-  eng.spawn(parked(m.resumes[0], log, "lane-resume"));
-  eng.spawn(parked(m.resumes[1], log, "heap-resume"));
+  eng.spawn(parked(m.resumes[0], log, "now-resume"));
+  eng.spawn(parked(m.resumes[1], log, "later-resume"));
   eng.spawn(parked(m.resumes[2], log, "cancellable-resume"));
   eng.spawn(schedule_mixed(eng, m));
   eng.run();
   EXPECT_EQ(log, (std::vector<std::string>{
-                     "lane-callback-1", "lane-resume", "lane-callback-2",
-                     "heap-resume", "heap-callback-1", "cancellable-callback",
-                     "cancellable-resume", "heap-callback-2"}));
+                     "now-callback-1", "now-resume", "now-callback-2",
+                     "later-resume", "later-callback-1",
+                     "cancellable-callback", "cancellable-resume",
+                     "later-callback-2"}));
   // Three spawns parked, the scheduler's spawn and wake, and eight
   // scheduled events.
   EXPECT_EQ(eng.events_processed(), 13u);

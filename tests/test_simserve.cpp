@@ -556,6 +556,13 @@ TEST(ServeStream, EofWithoutShutdownDrainsAndReturnsFalse) {
   EXPECT_NE(out.str().find("\"status\":\"done\""), std::string::npos);
 }
 
+/// A request line twice simserve::kMaxRequestLineBytes long, and its
+/// answer.
+const std::string kOverLongLine(2u << 20, '[');
+const std::string kOverLongError =
+    "{\"status\":\"error\",\"error\":\"request line longer than 1048576 "
+    "bytes\"}";
+
 TEST(ServeStream, MalformedLinesGetErrorResponses) {
   std::atomic<int> calls{0};
   simserve::Service service(counting_eval(calls));
@@ -571,13 +578,13 @@ TEST(ServeStream, MalformedLinesGetErrorResponses) {
       "\"id\":\"7\"}\n"
       "{\"op\":\"eval\",\"id\":\"8\",\"spec\":{\"experiment\":\"table1\","
       "\"race_explore\":true}}\n"
-      "{\"op\":\"eval\",\"id\":\"u1\",\"spec\":{\"experiment\":\"tab\xffle1\"}}\n"
-      "{\"op\":\"ping\"}\n");
+      "{\"op\":\"eval\",\"id\":\"u1\",\"spec\":{\"experiment\":\"tab\xffle1\"}}\n" +
+      kOverLongLine + "\n{\"op\":\"ping\"}\n");
   std::ostringstream out;
   simserve::serve_stream(in, out, service);
   const auto lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 8u);  // blank line is ignored, not an error
-  for (std::size_t i = 0; i < 7; ++i) {
+  ASSERT_EQ(lines.size(), 9u);  // blank line is ignored, not an error
+  for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_NE(lines[i].find("\"status\":\"error\""), std::string::npos);
   }
   EXPECT_NE(lines[2].find("nesting deeper than 64 levels"), std::string::npos);
@@ -593,7 +600,10 @@ TEST(ServeStream, MalformedLinesGetErrorResponses) {
   EXPECT_EQ(lines[6],
             "{\"status\":\"error\",\"error\":\"json:1:49: invalid UTF-8 in "
             "string\"}");
-  EXPECT_EQ(lines[7], "{\"status\":\"pong\"}");
+  // The 2 MiB line is cut at the cap, not parsed (its nesting error would
+  // say so), and answered once.
+  EXPECT_EQ(lines[7], kOverLongError);
+  EXPECT_EQ(lines[8], "{\"status\":\"pong\"}");
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -662,6 +672,16 @@ TEST(TcpSmoke, EvalOverLoopback) {
     EXPECT_NE(lines[1].find("\"status\":\"queued\""), std::string::npos);
     EXPECT_NE(lines[2].find("\"status\":\"done\""), std::string::npos);
     EXPECT_NE(lines[2].find("\"report\":"), std::string::npos);
+  }
+  {
+    // An over-long line gets one error line; the session goes on.
+    TcpClient client(server.port());
+    ASSERT_GE(client.fd, 0);
+    client.send_all(kOverLongLine + "\n{\"op\":\"ping\"}\n");
+    const auto lines = client.read_lines(2);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0], kOverLongError);
+    EXPECT_EQ(lines[1], "{\"status\":\"pong\"}");
   }
   {
     // A second connection shuts the server down; wait() observes it.
